@@ -13,7 +13,6 @@ from itertools import combinations
 from newtonzeta import (
     IntPoint,
     SystemSpec,
-    degree,
     euler_ci_torus,
     fiber_polytopes,
     hull,
@@ -69,5 +68,5 @@ for text, n in examples:
     spec = SystemSpec(n=n, constraints=(parse_polynomial(text, variables),))
     z, _ = zeta_deformation(spec, mode="origin", scope="affine")
     chi = stratified_fiber_chi(spec)
-    print(f"    {text:20}  zeta = {z.pretty():12}  degree {degree(z):2}"
+    print(f"    {text:20}  zeta = {z.pretty():12}  degree {z.degree():2}"
           f"   fiber chi {chi:2}")

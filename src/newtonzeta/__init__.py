@@ -31,11 +31,9 @@ from .polytope import (
     support_min,
 )
 from .volumes import (
-    VolumeQuery,
     lattice_point_volume_oracle,
     lattice_volume,
     mixed_volume_of,
-    normalized_mixed_volume,
 )
 from .qforms import Composition, q_compositions, q_exponent, q_tilde_exponent
 from .systems import (
@@ -54,7 +52,6 @@ from .engine import (
     ContributionTrace,
     ZetaProduct,
     candidate_covectors,
-    degree,
     euler_ci_torus,
     zeta_deformation,
     zeta_polynomial,
@@ -82,11 +79,9 @@ __all__ = [
     "minkowski_sum",
     "restrict_to_index_set",
     "support_min",
-    "VolumeQuery",
     "lattice_point_volume_oracle",
     "lattice_volume",
     "mixed_volume_of",
-    "normalized_mixed_volume",
     "Composition",
     "q_compositions",
     "q_exponent",
@@ -104,7 +99,6 @@ __all__ = [
     "ContributionTrace",
     "ZetaProduct",
     "candidate_covectors",
-    "degree",
     "euler_ci_torus",
     "zeta_deformation",
     "zeta_polynomial",

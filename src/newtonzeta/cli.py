@@ -127,7 +127,6 @@ class Job:
         scope = overrides.scope or data.get("scope", "affine")
         _expect(scope in SCOPES, "scope", f"expected one of {SCOPES}")
         self.scope = scope
-        self.jobs = overrides.jobs
 
         raw_constraints = data.get("constraints", [])
         _expect(isinstance(raw_constraints, list), "constraints", "expected a list")
@@ -207,9 +206,7 @@ def run(job: Job) -> dict:
     if job.task in ("deform-origin", "deform-infinity"):
         spec = job.system()
         mode = "origin" if job.task == "deform-origin" else "infinity"
-        product, traces = zeta_deformation(
-            spec, mode=mode, scope=job.scope, jobs=job.jobs
-        )
+        product, traces = zeta_deformation(spec, mode=mode, scope=job.scope)
         hypothesis = (
             "sigma-non-degenerate" if mode == "origin"
             else "sigma-non-degenerate at infinity"
@@ -218,7 +215,7 @@ def run(job: Job) -> dict:
 
     if job.task == "polyzeta":
         spec = job.system()
-        product, traces = zeta_polynomial(spec, scope=job.scope, jobs=job.jobs)
+        product, traces = zeta_polynomial(spec, scope=job.scope)
         return _zeta_result(job, product, traces, [
             "non-degenerate (objective with constraints)",
             "non-degenerate (constraints)",
@@ -281,8 +278,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         help="torus part only, or the full affine stratification")
     parser.add_argument("--trace", action="store_true",
                         help="include per-factor contribution traces")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="evaluate strata with N parallel workers")
     parser.add_argument("--deform-var", default=None, metavar="NAME",
                         help="permute this variable into the last position")
     parser.add_argument("--pretty", action="store_true",

@@ -5,16 +5,14 @@ The result of every computation is a formal product prod (1 - t^m)^e
 with integer exponents.  Factors are indexed by strata (coordinate
 subspaces) and by primitive covectors; the covector enumeration is the
 load-bearing step, so its completeness argument is spelled out at
-``candidate_covectors``.  Strata are independent, and may be evaluated
-concurrently without changing the (canonical) result.
+``candidate_covectors``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lattice import (
     Covector,
@@ -51,7 +49,6 @@ __all__ = [
     "zeta_polynomial",
     "zeta_polynomial_via_cone",
     "euler_ci_torus",
-    "degree",
 ]
 
 
@@ -104,22 +101,6 @@ class ZetaProduct:
             base = "(1-t)" if m == 1 else f"(1-t^{m})"
             pieces.append(base if e == 1 else f"{base}^{e}")
         return "*".join(pieces)
-
-    def numer_denom_coeffs(self) -> tuple[list[int], list[int]]:
-        """Expanded coefficient lists (display only; the factor map is canonical)."""
-
-        def expand(factors: Iterable[tuple[int, int]]) -> list[int]:
-            poly = [1]
-            for m, e in factors:
-                for _ in range(e):
-                    shifted = [0] * m + poly
-                    poly = [a - b for a, b in
-                            zip(poly + [0] * m, shifted)]
-            return poly
-
-        numer = expand((m, e) for m, e in self.factors if e > 0)
-        denom = expand((m, -e) for m, e in self.factors if e < 0)
-        return numer, denom
 
 
 @dataclass(frozen=True)
@@ -251,9 +232,13 @@ def _subspace_frame(index_set: frozenset[int], ambient_dim: int) -> LatticeFrame
 # deformation strata
 # ---------------------------------------------------------------------------
 
+# a stratum's factors {m: exponent} and the traces that produced them
+_StratumResult = tuple[dict[int, int], list[ContributionTrace]]
+
+
 def _deformation_stratum(
     rs: RestrictedSystem, sign: int
-) -> tuple[dict[int, int], list[ContributionTrace]]:
+) -> _StratumResult:
     idx = rs.index_set
     n = rs.n
     l = len(idx) - 1
@@ -311,18 +296,27 @@ def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[i
     return out
 
 
-def _run_strata(workers, jobs: int | None):
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda f: f(), workers))
-    return [f() for f in workers]
+def _over_strata(
+    spec: SystemSpec,
+    scope: str,
+    stratum: Callable[[RestrictedSystem], _StratumResult],
+    must_contain_last: bool,
+) -> tuple[ZetaProduct, list[ContributionTrace]]:
+    """Product of the stratum factors, with their traces in stratum order."""
+    total: dict[int, int] = {}
+    traces: list[ContributionTrace] = []
+    for idx in _strata_for(spec.n, scope, must_contain_last):
+        factors, stratum_traces = stratum(restrict_system(spec, idx))
+        for m, e in factors.items():
+            total[m] = total.get(m, 0) + e
+        traces.extend(stratum_traces)
+    return ZetaProduct.from_exponents(total), traces
 
 
 def zeta_deformation(
     spec: SystemSpec,
     mode: str = "origin",
     scope: str = "affine",
-    jobs: int | None = None,
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
     """Zeta-function of the deformation along the last variable.
 
@@ -338,21 +332,8 @@ def zeta_deformation(
         sign = -1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    strata = _strata_for(spec.n, scope, must_contain_last=True)
-
-    def make_worker(idx: frozenset[int]):
-        def work():
-            return _deformation_stratum(restrict_system(spec, idx), sign)
-        return work
-
-    results = _run_strata([make_worker(i) for i in strata], jobs)
-    total: dict[int, int] = {}
-    traces: list[ContributionTrace] = []
-    for factors, stratum_traces in results:
-        for m, e in factors.items():
-            total[m] = total.get(m, 0) + e
-        traces.extend(stratum_traces)
-    return ZetaProduct.from_exponents(total), traces
+    return _over_strata(spec, scope, lambda rs: _deformation_stratum(rs, sign),
+                        must_contain_last=True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +342,7 @@ def zeta_deformation(
 
 def _polynomial_stratum(
     rs: RestrictedSystem,
-) -> tuple[dict[int, int], list[ContributionTrace]]:
+) -> _StratumResult:
     idx = rs.index_set
     n = rs.n
     l = len(idx) - 1
@@ -414,7 +395,6 @@ def _polynomial_stratum(
 def zeta_polynomial(
     spec: SystemSpec,
     scope: str = "affine",
-    jobs: int | None = None,
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
     """Zeta-function at the origin of the objective on the intersection.
 
@@ -424,24 +404,10 @@ def zeta_polynomial(
     """
     if spec.objective is None:
         raise ValueError("zeta_polynomial requires an objective")
-    strata = _strata_for(spec.n, scope, must_contain_last=False)
-
-    def make_worker(idx: frozenset[int]):
-        def work():
-            return _polynomial_stratum(restrict_system(spec, idx))
-        return work
-
-    results = _run_strata([make_worker(i) for i in strata], jobs)
-    total: dict[int, int] = {}
-    traces: list[ContributionTrace] = []
-    for factors, stratum_traces in results:
-        for m, e in factors.items():
-            total[m] = total.get(m, 0) + e
-        traces.extend(stratum_traces)
-    return ZetaProduct.from_exponents(total), traces
+    return _over_strata(spec, scope, _polynomial_stratum, must_contain_last=False)
 
 
-def zeta_polynomial_via_cone(spec: SystemSpec, jobs: int | None = None) -> ZetaProduct:
+def zeta_polynomial_via_cone(spec: SystemSpec) -> ZetaProduct:
     """Torus zeta of the objective, via the cone construction.
 
     Replaces the objective by the extra constraint (objective - z_new)
@@ -450,7 +416,7 @@ def zeta_polynomial_via_cone(spec: SystemSpec, jobs: int | None = None) -> ZetaP
     cross-validation of the whole pipeline.
     """
     lifted = cone_system(spec)
-    product, _ = zeta_deformation(lifted, mode="origin", scope="torus", jobs=jobs)
+    product, _ = zeta_deformation(lifted, mode="origin", scope="torus")
     return product
 
 
@@ -471,8 +437,3 @@ def euler_ci_torus(polytopes: Sequence[LatticePolytope], n: int) -> int:
     if any(P.is_empty for P in bodies):
         return 0
     return q_exponent(n, bodies, LatticeFrame.standard(n))
-
-
-def degree(z: ZetaProduct) -> int:
-    """Degree of the product as a rational function of t."""
-    return z.degree()

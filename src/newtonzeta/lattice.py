@@ -1,9 +1,9 @@
 """Exact lattice linear algebra: points, covectors, frames, saturation.
 
-Everything is arbitrary-precision integer (or Fraction) arithmetic; no
-floating point enters at any stage.  The workhorse is the integer kernel
-of an integer matrix, computed by unimodular column reduction; saturated
-spans, frame coordinates and primitive line normals all reduce to it.
+Everything is arbitrary-precision integer arithmetic; no floating point
+enters at any stage.  The one elimination is a unimodular column
+reduction of an integer matrix: ranks, determinants, saturated kernels
+and spans, frame coordinates and primitive line normals all read off it.
 
 Points and covectors are deliberately distinct types even though both
 wrap integer vectors: the only pairing the code ever performs is
@@ -13,9 +13,8 @@ direction-confusion bugs at type-check time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, prod
 from typing import Sequence
 
 __all__ = [
@@ -133,15 +132,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _int_kernel(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Basis of {x in Z^n : r.x = 0 for every row r}.
+def _column_reduce(
+    rows: Sequence[tuple[int, ...]], n: int
+) -> tuple[list[tuple[int, tuple[int, ...], int]], list[tuple[int, ...]]]:
+    """Unimodular column reduction of a row stack (the Hermite step).
 
-    The result is a basis of a direct summand of Z^n (the kernel lattice
-    is saturated by construction): the active columns of a unimodular
-    column reduction of the row stack.
+    Columns start as the unit vectors of Z^n and are combined by
+    extended-gcd steps, one row at a time, so that each row meets at most
+    one still-active column.  A row that meets one gets a pivot: it is
+    independent of the rows before it, and it is returned as
+    ``(row index, pivot column, gcd)`` with ``row . column == gcd > 0``;
+    the pivot column leaves the active set.  Pivot rows come in input
+    order, so they are the greedy maximal independent subset, and a pivot
+    row is orthogonal to the pivot columns of every later pivot row.
+    The active columns left at the end are a basis of
+    {x in Z^n : r.x = 0 for every row r}, saturated because all the
+    column steps are unimodular.
     """
     cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    for row in rows:
+    pivots: list[tuple[int, tuple[int, ...], int]] = []
+    for index, row in enumerate(rows):
+        if not cols:
+            break
         vals = [sum(r * c for r, c in zip(row, col)) for col in cols]
         pivot = None
         for j, v in enumerate(vals):
@@ -158,71 +170,67 @@ def _int_kernel(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]
             cols[pivot], cols[j] = new_p, new_j
             vals[pivot], vals[j] = g, 0
         if pivot is not None:
-            del cols[pivot]
-    return cols
+            col = cols.pop(pivot)
+            if vals[pivot] < 0:
+                col = tuple(-c for c in col)
+            pivots.append((index, col, abs(vals[pivot])))
+    return pivots, cols
+
+
+def _int_kernel(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Saturated basis of {x in Z^n : r.x = 0 for every row r}."""
+    return _column_reduce(rows, n)[1]
 
 
 def _rank(rows: Sequence[tuple[int, ...]]) -> int:
-    """Rank over Q of a stack of integer rows (exact elimination)."""
-    work = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        lead = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col] / lead
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q of a stack of integer rows."""
+    return len(_column_reduce(rows, len(rows[0]) if rows else 0)[0])
 
 
-def _solve_in_basis(
-    basis: Sequence[tuple[int, ...]], target: tuple[int, ...]
-) -> list[Fraction] | None:
-    """Solve sum_j x_j * basis[j] = target exactly; None when unsolvable."""
-    r = len(basis)
-    if r == 0:
-        return [] if not any(target) else None
-    n = len(target)
-    # augmented system, unknowns are the basis coefficients
-    aug = [[Fraction(basis[j][i]) for j in range(r)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        lead = aug[row][col]
-        aug[row] = [a / lead for a in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    # consistency: remaining rows must have zero rhs
-    for i in range(row, n):
-        if aug[i][r] != 0:
-            return None
-    if len(pivots) < r:
-        # basis vectors dependent; callers guarantee independence
+def _abs_det(rows: Sequence[tuple[int, ...]]) -> int:
+    """|det| of a square integer matrix: the product of the pivot gcds."""
+    pivots, _ = _column_reduce(rows, len(rows))
+    return prod(g for _, _, g in pivots) if len(pivots) == len(rows) else 0
+
+
+def _right_inverse(
+    rows: Sequence[tuple[int, ...]], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """Integer columns c_j with rows[k] . c_j == (1 if k == j else 0).
+
+    They exist exactly when the rows are independent and generate a
+    saturated lattice, i.e. when every row gets a pivot of gcd 1; the
+    rows times the pivot columns are then unit lower triangular, and
+    back substitution inverts that.  Raises ValueError otherwise.
+    """
+    pivots, _ = _column_reduce(rows, n)
+    if len(pivots) < len(rows):
         raise ValueError("frame basis is linearly dependent")
-    sol = [Fraction(0)] * r
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][r]
-    return sol
+    if any(g != 1 for _, _, g in pivots):
+        raise ValueError("frame basis does not generate a saturated lattice")
+    inverse: list[tuple[int, ...]] = [()] * len(rows)
+    for j in reversed(range(len(rows))):
+        col = pivots[j][1]
+        c = col
+        for k in range(j + 1, len(rows)):
+            f = sum(a * b for a, b in zip(rows[k], col))
+            if f:
+                c = tuple(x - f * y for x, y in zip(c, inverse[k]))
+        inverse[j] = c
+    return tuple(inverse)
+
+
+def _coords_in(
+    delta: tuple[int, ...],
+    rows: Sequence[tuple[int, ...]],
+    inverse: Sequence[tuple[int, ...]],
+) -> tuple[int, ...] | None:
+    """The x with x . rows == delta, or None when delta is outside their span."""
+    x = tuple(sum(d * c for d, c in zip(delta, col)) for col in inverse)
+    for i, d in enumerate(delta):
+        if sum(xj * r[i] for xj, r in zip(x, rows)) != d:
+            return None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +284,10 @@ class LatticeFrame:
     origin: IntPoint
     basis: tuple[IntPoint, ...]
     ambient_dim: int
+    # integer right inverse of the basis rows (see _right_inverse)
+    inverse: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -285,13 +297,7 @@ class LatticeFrame:
         for r in rows:
             if len(r) != self.ambient_dim:
                 raise ValueError("frame basis vector has wrong dimension")
-        if rows and _rank(rows) != len(rows):
-            raise ValueError("frame basis is linearly dependent")
-        sat = _int_kernel(_int_kernel(rows, self.ambient_dim), self.ambient_dim)
-        for s in sat:
-            sol = _solve_in_basis(rows, s)
-            if sol is None or any(x.denominator != 1 for x in sol):
-                raise ValueError("frame basis does not generate a saturated lattice")
+        object.__setattr__(self, "inverse", _right_inverse(rows, self.ambient_dim))
 
     @property
     def rank(self) -> int:
@@ -323,23 +329,18 @@ def to_frame_coords(
     """Integer coordinates of points in the frame basis.
 
     Every point must lie in the affine hull spanned by the frame; the
-    saturation invariant then guarantees integrality, which is asserted.
+    saturation invariant then guarantees integrality.
     """
-    basis_rows = [b.coords for b in frame.basis]
+    rows = [b.coords for b in frame.basis]
     out = []
     for p in points:
         if p.dim != frame.ambient_dim:
             raise ValueError("point dimension does not match frame")
         delta = tuple(a - b for a, b in zip(p.coords, frame.origin.coords))
-        sol = _solve_in_basis(basis_rows, delta)
-        if sol is None:
+        coords = _coords_in(delta, rows, frame.inverse)
+        if coords is None:
             raise ValueError("point not in frame span")
-        coords = []
-        for x in sol:
-            if x.denominator != 1:
-                raise ValueError("non-integer frame coordinates (frame not saturated)")
-            coords.append(int(x))
-        out.append(IntPoint(tuple(coords)))
+        out.append(IntPoint(coords))
     return out
 
 
@@ -356,9 +357,8 @@ def orthogonal_line_generators(
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("direction dimension does not match ambient_dim")
-    if _rank(rows) != ambient_dim - 1:
+    pivots, kern = _column_reduce(rows, ambient_dim)
+    if len(pivots) != ambient_dim - 1:
         raise ValueError("normal space not a line")
-    kern = _int_kernel(rows, ambient_dim)
-    assert len(kern) == 1
     beta = Covector(kern[0])
     return beta, -beta

@@ -2,7 +2,7 @@
 
 A polytope is carried by its irredundant vertex set; faces, facet
 normals and Minkowski sums are all computed from vertices with exact
-integer/rational arithmetic.  Facets of a full-dimensional polytope are
+integer arithmetic.  Facets of a full-dimensional polytope are
 enumerated by a double description sweep over the dual cone of the
 homogenization, which stays exact in any ambient dimension; degenerate
 (lower-dimensional) inputs are first reduced to a saturated frame of
@@ -13,16 +13,17 @@ vertex set, since the same polytopes recur heavily in mixed-volume work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .lattice import (
     Covector,
     IntPoint,
+    _column_reduce,
+    _coords_in,
     _int_kernel,
     _rank,
-    _solve_in_basis,
+    _right_inverse,
 )
 
 __all__ = [
@@ -117,35 +118,26 @@ class FaceRecord:
 # affine reduction
 # ---------------------------------------------------------------------------
 
-def _saturated_rows(rows: Sequence[Vec], n: int) -> list[Vec]:
-    return _int_kernel(_int_kernel(rows, n), n)
-
-
-def _affine_reduce(pts: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec], Vec]:
+def _affine_reduce(pts: Sequence[Vec], n: int) -> list[Vec]:
     """Translate to pts[0] and rewrite in a saturated basis of the span.
 
-    Returns (reduced points, basis rows, origin).  Reduced points are
-    integer vectors of length rank; the map is an affine bijection onto
-    the lattice points of the affine hull.
+    The reduced points are integer vectors of length rank; the map is an
+    affine bijection onto the lattice points of the affine hull.
     """
-    origin = pts[0]
-    diffs = [_sub(p, origin) for p in pts]
-    basis = _saturated_rows(diffs, n)
+    diffs = [_sub(p, pts[0]) for p in pts]
+    basis = _int_kernel(_int_kernel(diffs, n), n)
     d = len(basis)
     if d == 0:
-        return [() for _ in pts], [], origin
+        return [() for _ in pts]
     if d == n and basis == [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]:
-        return list(diffs), basis, origin
+        return diffs
+    inverse = _right_inverse(basis, n)
     reduced = []
     for delta in diffs:
-        sol = _solve_in_basis(basis, delta)
-        assert sol is not None, "difference escaped its own span"
-        coords = []
-        for x in sol:
-            assert x.denominator == 1, "saturated basis yielded fractions"
-            coords.append(int(x))
-        reduced.append(tuple(coords))
-    return reduced, basis, origin
+        coords = _coords_in(delta, basis, inverse)
+        assert coords is not None, "difference escaped its own span"
+        reduced.append(coords)
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +187,20 @@ def _dd(
     rows = [(1,) + p for p in pts]
 
     # greedy maximal independent subset for the initial simplicial cone
-    store: list[list[Fraction]] = []
-    init_idx: list[int] = []
-    for i, r in enumerate(rows):
-        vec = [Fraction(x) for x in r]
-        for s in store:
-            piv = next(j for j in range(w) if s[j] != 0)
-            if vec[piv]:
-                f = vec[piv] / s[piv]
-                vec = [a - f * b for a, b in zip(vec, s)]
-        if any(vec):
-            store.append(vec)
-            init_idx.append(i)
-            if len(init_idx) == w:
-                break
+    init_idx = [i for i, _col, _g in _column_reduce(rows, w)[0]]
     assert len(init_idx) == w, "points are not full-dimensional"
 
     order = init_idx + [i for i in range(len(rows)) if i not in set(init_idx)]
     mat = [rows[i] for i in init_idx]
 
-    # rays of the initial cone: scaled columns of the inverse of mat
-    inv = _invert_fraction_matrix(mat)
+    # rays of the initial cone: ray j spans the (saturated, so primitive)
+    # kernel of the other w - 1 rows, oriented positive on row j
     rays: list[Vec] = []
     for j in range(w):
-        col = [inv[i][j] for i in range(w)]
-        den = 1
-        for x in col:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ivec = tuple(int(x * den) for x in col)
-        ivec = _primitive(ivec)
-        if _dot(mat[j], ivec) < 0:
-            ivec = tuple(-c for c in ivec)
-        rays.append(ivec)
+        (ray,) = _int_kernel(mat[:j] + mat[j + 1:], w)
+        if _dot(mat[j], ray) < 0:
+            ray = tuple(-c for c in ray)
+        rays.append(ray)
 
     def mask_of(ray: Vec, upto: int) -> int:
         m = 0
@@ -289,23 +263,6 @@ def _dd(
     return facets, tights
 
 
-def _invert_fraction_matrix(mat: Sequence[Vec]) -> list[list[Fraction]]:
-    w = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(w)]
-           + [Fraction(1 if j == i else 0) for j in range(w)]
-           for i in range(w)]
-    for col in range(w):
-        piv = next(i for i in range(col, w) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for i in range(w):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[w:] for row in aug]
-
-
 # ---------------------------------------------------------------------------
 # extreme points
 # ---------------------------------------------------------------------------
@@ -323,7 +280,7 @@ def _extreme_points(pts: Sequence[Vec], n: int) -> list[Vec]:
     if cached is not None:
         return list(cached)
 
-    reduced, _basis, origin = _affine_reduce(uniq, n)
+    reduced = _affine_reduce(uniq, n)
     d = len(reduced[0])
     if d == 0:
         result = [uniq[0]]

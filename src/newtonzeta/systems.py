@@ -129,6 +129,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_literal(digits: str, at: int) -> int:
+    """Value of a numeric literal; one too long for int() is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"numeric literal of {len(digits)} digits is too long", at
+        ) from None
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
@@ -210,20 +220,20 @@ class _Parser:
             kind, val, at = self.next()
             if kind != "NUM":
                 raise ParseError("expected a nonnegative integer exponent", at)
-            value = self._pow(value, int(val))
+            value = self._pow(value, _int_literal(val, at))
         return value, numeric
 
     def parse_base(self) -> tuple[dict[tuple[int, ...], Fraction], bool]:
         kind, val, at = self.next()
         if kind == "NUM":
-            num = int(val)
+            num = _int_literal(val, at)
             kind2, val2, _ = self.peek()
             if kind2 == "OP" and val2 == "/":
                 self.next()
                 kind3, val3, at3 = self.next()
                 if kind3 != "NUM":
                     raise ParseError("expected an integer denominator", at3)
-                den = int(val3)
+                den = _int_literal(val3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 coeff = Fraction(num, den)

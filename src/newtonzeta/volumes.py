@@ -7,18 +7,16 @@ by l! so the result is always a nonnegative integer.  A lattice-point
 counting oracle (dilate, count, interpolate) provides an independent
 route to the same volumes for cross-validation.
 
-All caches are plain dicts keyed by canonical immutable values: results
-are deterministic, so concurrent use can only ever insert equal entries.
+All caches are plain dicts keyed by canonical immutable values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 from typing import Sequence
 
-from .lattice import LatticeFrame, _rank, _solve_in_basis
+from .lattice import LatticeFrame, _abs_det, _coords_in, _rank
 from .polytope import (
     LatticePolytope,
     Vec,
@@ -31,29 +29,10 @@ from .polytope import (
 )
 
 __all__ = [
-    "VolumeQuery",
     "lattice_volume",
-    "normalized_mixed_volume",
     "mixed_volume_of",
     "lattice_point_volume_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class VolumeQuery:
-    """An ordered tuple of bodies sharing an l-dimensional frame."""
-
-    polytopes: tuple[LatticePolytope, ...]
-    frame: LatticeFrame
-
-    def __post_init__(self):
-        object.__setattr__(self, "polytopes", tuple(self.polytopes))
-        if len(self.polytopes) != self.frame.rank:
-            raise ValueError("number of bodies must equal the frame rank")
-
-    @property
-    def l(self) -> int:
-        return self.frame.rank
 
 
 # ---------------------------------------------------------------------------
@@ -71,16 +50,10 @@ def _reduce_to_frame(P: LatticePolytope, frame: LatticeFrame) -> list[Vec]:
     basis_rows = [b.coords for b in frame.basis]
     out = []
     for v in P.vertices:
-        delta = _sub(v.coords, v0.coords)
-        sol = _solve_in_basis(basis_rows, delta)
-        if sol is None:
+        coords = _coords_in(_sub(v.coords, v0.coords), basis_rows, frame.inverse)
+        if coords is None:
             raise ValueError("polytope outside frame span")
-        coords = []
-        for x in sol:
-            if x.denominator != 1:
-                raise ValueError("non-integer frame coordinates")
-            coords.append(int(x))
-        out.append(tuple(coords))
+        out.append(coords)
     return out
 
 
@@ -92,31 +65,8 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact determinants and simplex volumes
+# simplicial triangulation
 # ---------------------------------------------------------------------------
-
-def _det_int(rows: Sequence[Vec]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
 
 _tri_cache: dict[frozenset[Vec], tuple[tuple[Vec, ...], ...]] = {}
 
@@ -136,7 +86,7 @@ def _triangulate(pts: tuple[Vec, ...], adim: int) -> tuple[tuple[Vec, ...], ...]
         return cached
     m = len(pts[0])
     ordered = sorted(pts)
-    reduced, _basis, _origin = _affine_reduce(ordered, m)
+    reduced = _affine_reduce(ordered, m)
     assert reduced and len(reduced[0]) == adim, "affine dimension mismatch"
     facets = _dd_facets(reduced, adim)
     v0 = ordered[0]
@@ -176,7 +126,7 @@ def _volume_of_points(pts: Sequence[Vec], l: int) -> Fraction:
         total = 0
         for s in _triangulate(extremes, l):
             mat = [_sub(v, s[0]) for v in s[1:]]
-            total += abs(_det_int(mat))
+            total += _abs_det(mat)
         vol = Fraction(total, factorial(l))
     _vol_cache[canon] = vol
     return vol
@@ -243,11 +193,6 @@ def mixed_volume_of(
     return result
 
 
-def normalized_mixed_volume(q: VolumeQuery) -> int:
-    """Mixed volume of a VolumeQuery; see ``mixed_volume_of``."""
-    return mixed_volume_of(q.polytopes, q.frame)
-
-
 # ---------------------------------------------------------------------------
 # lattice point counting oracle
 # ---------------------------------------------------------------------------
@@ -300,7 +245,7 @@ def _count_lattice_points(pts: Sequence[Vec]) -> int:
     if cached is not None:
         return cached
     m = len(uniq[0])
-    reduced, _basis, _origin = _affine_reduce(uniq, m)
+    reduced = _affine_reduce(uniq, m)
     a = len(reduced[0])
     if a == 0:
         result = 1

@@ -16,7 +16,6 @@ from newtonzeta import (
     LatticeFrame,
     SystemSpec,
     candidate_covectors,
-    degree,
     euler_ci_torus,
     face,
     fiber_polytopes,
@@ -257,7 +256,7 @@ def test_degree_euler_consistency():
     assert len(systems) >= 5
     for spec, expected_chi in systems:
         z, _ = zeta_deformation(spec, mode="origin", scope="affine")
-        assert degree(z) == expected_chi
+        assert z.degree() == expected_chi
 
         fibers = fiber_polytopes(spec)
         m = spec.n - 1
@@ -276,5 +275,5 @@ def test_degree_euler_consistency():
                 if len(survivors) > size:
                     continue  # more generic equations than dimension: empty
                 total += euler_ci_torus(survivors, size)
-        assert degree(z) == total, spec
+        assert z.degree() == total, spec
     _report("degree-euler-consistency", started, 10.0)

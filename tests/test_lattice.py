@@ -1,6 +1,8 @@
 """Lattice primitives: primitive parts, saturation, frames."""
 
 import random
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,8 @@ from newtonzeta import (
     saturated_basis,
     to_frame_coords,
 )
-from newtonzeta.lattice import _int_kernel, _solve_in_basis
+from newtonzeta.lattice import _abs_det, _column_reduce, _int_kernel, _rank
+from tests.oracle import _solve_in_basis
 
 
 def test_point_and_covector_are_distinct_types():
@@ -135,9 +138,7 @@ def test_saturation_index_matches_determinant():
             tuple(int(x) for x in _solve_in_basis([b.coords for b in basis], g))
             for g in gens
         ]
-        from newtonzeta.volumes import _det_int
-        det = abs(_det_int(coords))
-        assert det == _index_by_residue_count(gens)
+        assert _abs_det(coords) == _index_by_residue_count(gens)
 
 
 def test_frame_coordinates_round_trip():
@@ -202,3 +203,76 @@ def test_int_kernel_is_saturated():
             sol = _solve_in_basis(kern, tuple(combo))
             assert sol is not None
             assert all(x.denominator == 1 for x in sol)
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _greedy_independent(rows):
+    """Indices of the rows outside the span of the rows kept before them."""
+    kept = []
+    for i, r in enumerate(rows):
+        if _solve_in_basis([rows[k] for k in kept], r) is None:
+            kept.append(i)
+    return kept
+
+
+def _check_frame_coords(rng, frame, rows, n):
+    coeffs = tuple(rng.randint(-4, 4) for _ in rows)
+    delta = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n))
+    point = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, delta)))
+    assert to_frame_coords([point], frame)[0].coords == coeffs
+    other = tuple(rng.randint(-6, 6) for _ in range(n))
+    sol = _solve_in_basis(rows, other)
+    moved = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, other)))
+    if sol is None:
+        with pytest.raises(ValueError, match="not in frame span"):
+            to_frame_coords([moved], frame)
+    else:
+        assert all(x.denominator == 1 for x in sol)
+        assert to_frame_coords([moved], frame)[0].coords == tuple(int(x) for x in sol)
+
+
+def test_column_reduction_matches_rational_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, n)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = tuple(a * x + b * y for x, y in zip(rows[0], rows[1]))
+        greedy = _greedy_independent(rows)
+        pivots, kernel = _column_reduce(rows, n)
+        assert [i for i, _col, _g in pivots] == greedy
+        assert _rank(rows) == len(greedy)
+        assert len(kernel) == n - len(greedy)
+        if m == n:
+            assert _abs_det(rows) == abs(_leibniz_det(rows))
+
+        origin = IntPoint(tuple(rng.randint(-6, 6) for _ in range(n)))
+        basis = tuple(IntPoint(r) for r in rows)
+        minors = 0
+        for cols in combinations(range(n), m):
+            minors = gcd(minors, _leibniz_det([[r[j] for j in cols] for r in rows]))
+        if len(greedy) < m:
+            with pytest.raises(ValueError, match="dependent"):
+                LatticeFrame(origin, basis, n)
+        elif minors != 1:
+            with pytest.raises(ValueError, match="saturated"):
+                LatticeFrame(origin, basis, n)
+        else:
+            _check_frame_coords(rng, LatticeFrame(origin, basis, n), rows, n)
+
+        sat = tuple(saturated_basis(basis))
+        if sat:
+            frame = LatticeFrame(origin, sat, n)
+            _check_frame_coords(rng, frame, [b.coords for b in sat], n)

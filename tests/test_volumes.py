@@ -9,13 +9,11 @@ import pytest
 from newtonzeta import (
     IntPoint,
     LatticeFrame,
-    VolumeQuery,
     hull,
     lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     mixed_volume_of,
-    normalized_mixed_volume,
 )
 from newtonzeta.volumes import _count_lattice_points
 from tests.conftest import random_polytope
@@ -60,8 +58,7 @@ def test_volume_rejects_bodies_outside_frame():
 
 def test_mixed_volume_of_transverse_segments():
     frame = LatticeFrame.standard(2)
-    q = VolumeQuery((seg((0, 0), (1, 0)), seg((0, 0), (0, 1))), frame)
-    assert normalized_mixed_volume(q) == 1
+    assert mixed_volume_of([seg((0, 0), (1, 0)), seg((0, 0), (0, 1))], frame) == 1
 
 
 def test_mixed_volume_degenerate_repeat_segment():
@@ -177,7 +174,7 @@ def test_mixed_volume_unimodular_invariance():
         assert mixed_volume_of([apply(Q) for Q in bodies], frame) == v
 
 
-def test_volume_query_validates_arity():
+def test_mixed_volume_validates_arity():
     frame = LatticeFrame.standard(2)
     with pytest.raises(ValueError, match="frame rank"):
-        VolumeQuery((P((0, 0)),), frame)
+        mixed_volume_of([P((0, 0))], frame)
