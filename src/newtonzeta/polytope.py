@@ -8,12 +8,21 @@ homogenization, which stays exact in any ambient dimension; degenerate
 (lower-dimensional) inputs are first reduced to a saturated frame of
 their affine hull.  Facet and vertex computations are memoized per
 vertex set, since the same polytopes recur heavily in mixed-volume work.
+
+Incidence is bookkept rather than recomputed: each ray of the sweep
+carries the mask of processed points it is zero on, and a new ray
+inherits the common mask of its two parents (see ``_dd``).  Vertices are
+then read from those masks combinatorially: a point is a vertex exactly
+when the facets through it meet in that point alone, because the points
+are distinct and the smallest face containing a point is the
+intersection of the facets through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -43,11 +52,11 @@ Vec = tuple[int, ...]
 
 
 def _sub(p: Vec, q: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 def _dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(v: Vec) -> Vec:
@@ -150,11 +159,6 @@ _facet_cache: dict[
 ] = {}
 
 
-def _dd_facets(pts: Sequence[Vec], d: int) -> tuple[tuple[Vec, int], ...]:
-    """Facets of a full-dimensional polytope as (inner normal, min value)."""
-    return _dd(pts, d)[0]
-
-
 def _dd(
     pts: Sequence[Vec], d: int
 ) -> tuple[tuple[tuple[Vec, int], ...], tuple[frozenset[int], ...]]:
@@ -165,6 +169,13 @@ def _dd(
     rays of the dual cone ``{(c0, c) : c0 + c.v >= 0 for all vertices}``
     by an incremental double description sweep, whose tight-set masks
     double as the facet-point incidence, saving a full rescan later.
+
+    The masks are inherited, not rescanned.  A start ray is zero on every
+    start row but its own.  A ray created at row t is ``vp*r_m - vm*r_p``
+    with ``vp > 0 > vm``, and both parents are >= 0 on every earlier row,
+    so there it is a sum of two nonnegative terms, zero exactly when both
+    are; on row t it is zero by construction.  Its mask is therefore the
+    parents' common mask plus bit t.
     """
     key = (d, tuple(pts))
     cached = _facet_cache.get(key)
@@ -202,14 +213,9 @@ def _dd(
             ray = tuple(-c for c in ray)
         rays.append(ray)
 
-    def mask_of(ray: Vec, upto: int) -> int:
-        m = 0
-        for t in range(upto):
-            if _dot(rows[order[t]], ray) == 0:
-                m |= 1 << t
-        return m
-
-    masks = [mask_of(r, w) for r in rays]
+    # ray j is zero exactly on the start rows other than j
+    full = (1 << w) - 1
+    masks = [full ^ (1 << j) for j in range(w)]
 
     for t in range(w, len(order)):
         a = rows[order[t]]
@@ -221,7 +227,7 @@ def _dd(
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         popcounts = [m.bit_count() for m in masks]
-        new_rays: list[Vec] = []
+        fresh: list[tuple[Vec, int]] = []
         for ip in plus:
             for im in minus:
                 common = masks[ip] & masks[im]
@@ -241,9 +247,8 @@ def _dd(
                 combo = tuple(
                     vp * cm - vm * cp for cp, cm in zip(rays[ip], rays[im])
                 )
-                new_rays.append(_primitive(combo))
+                fresh.append((_primitive(combo), common | (1 << t)))
         kept = [(rays[i], masks[i] | ((vals[i] == 0) << t)) for i in plus + zero]
-        fresh = [(r, mask_of(r, t + 1)) for r in new_rays]
         merged: dict[Vec, int] = {}
         for r, m in kept + fresh:
             merged[r] = m
@@ -284,23 +289,14 @@ def _extreme_points(pts: Sequence[Vec], n: int) -> list[Vec]:
     d = len(reduced[0])
     if d == 0:
         result = [uniq[0]]
-    elif d == 1:
-        lo = min(range(len(uniq)), key=lambda i: reduced[i])
-        hi = max(range(len(uniq)), key=lambda i: reduced[i])
-        result = sorted({uniq[lo], uniq[hi]})
     else:
-        facets, tights = _dd(reduced, d)
-        incident: list[list[int]] = [[] for _ in uniq]
-        for fi, tset in enumerate(tights):
+        # AND of the tight masks of the facets through each point
+        common = [-1] * len(uniq)
+        for tset in _dd(reduced, d)[1]:
+            m = sum(1 << i for i in tset)
             for pi in tset:
-                incident[pi].append(fi)
-        result = []
-        for pi, fids in enumerate(incident):
-            if len(fids) < d:
-                continue
-            if _rank([facets[fi][0] for fi in fids]) == d:
-                result.append(uniq[pi])
-        result.sort()
+                common[pi] &= m
+        result = [p for pi, p in enumerate(uniq) if common[pi] == 1 << pi]
     result_t = tuple(result)
     _extreme_cache[key] = result_t
     return list(result_t)
@@ -399,11 +395,7 @@ def facet_normals(P: LatticePolytope) -> list[FaceRecord]:
         raise ValueError("not full-dimensional")
     if n == 0:
         return []
-    raw = P.raw_vertices()
-    facets = _dd_facets(raw, n)
-    records = []
-    for a, b in facets:
-        alpha = Covector(a)
-        verts = tuple(v for v in P.vertices if _dot(a, v.coords) == b)
-        records.append(FaceRecord(LatticePolytope(verts, n), alpha, b))
-    return records
+    facets, tights = _dd(P.raw_vertices(), n)
+    return [FaceRecord(LatticePolytope(tuple(P.vertices[i] for i in ts), n),
+                       Covector(a), b)
+            for (a, b), ts in zip(facets, tights)]

@@ -129,6 +129,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# polynomial values while parsing: {exponent tuple: coefficient}
+_Terms = dict[tuple[int, ...], Fraction]
+
+# a product forming more term pairs than this is rejected: it bounds the
+# time and memory of each multiplication in an expansion
+_MAX_TERM_PAIRS = 10**5
+
+
 def _int_literal(digits: str, at: int) -> int:
     """Value of a numeric literal; one too long for int() is a ParseError."""
     try:
@@ -161,16 +169,14 @@ class _Parser:
         if kind != "OP" or val != op:
             raise ParseError(f"expected {op!r}", at)
 
-    # polynomial values are dicts {exponent tuple: Fraction}
-
-    def parse(self) -> dict[tuple[int, ...], Fraction]:
+    def parse(self) -> _Terms:
         value = self.parse_expr()
         kind, val, at = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected {val!r}", at)
         return value
 
-    def parse_expr(self) -> dict[tuple[int, ...], Fraction]:
+    def parse_expr(self) -> _Terms:
         kind, val, _ = self.peek()
         negate = False
         if kind == "OP" and val in "+-":
@@ -192,24 +198,24 @@ class _Parser:
             else:
                 return value
 
-    def parse_term(self) -> dict[tuple[int, ...], Fraction]:
+    def parse_term(self) -> _Terms:
         value, numeric = self.parse_factor()
         while True:
             kind, val, at = self.peek()
             if kind == "OP" and val == "*":
                 self.next()
                 rhs, numeric = self.parse_factor()
-                value = self._mul(value, rhs)
+                value = self._mul(value, rhs, at)
             elif kind == "NAME" and numeric:
                 # coefficient directly followed by a variable
                 rhs, numeric = self.parse_factor()
-                value = self._mul(value, rhs)
+                value = self._mul(value, rhs, at)
             elif kind in ("NAME", "NUM") or (kind == "OP" and val == "("):
                 raise ParseError("implicit multiplication requires '*'", at)
             else:
                 return value
 
-    def parse_factor(self) -> tuple[dict[tuple[int, ...], Fraction], bool]:
+    def parse_factor(self) -> tuple[_Terms, bool]:
         value, numeric = self.parse_base()
         kind, val, _ = self.peek()
         if kind == "OP" and val == "^":
@@ -220,10 +226,10 @@ class _Parser:
             kind, val, at = self.next()
             if kind != "NUM":
                 raise ParseError("expected a nonnegative integer exponent", at)
-            value = self._pow(value, _int_literal(val, at))
+            value = self._pow(value, _int_literal(val, at), at)
         return value, numeric
 
-    def parse_base(self) -> tuple[dict[tuple[int, ...], Fraction], bool]:
+    def parse_base(self) -> tuple[_Terms, bool]:
         kind, val, at = self.next()
         if kind == "NUM":
             num = _int_literal(val, at)
@@ -254,10 +260,12 @@ class _Parser:
         raise ParseError(f"unexpected {val or kind!r}", at)
 
     @staticmethod
-    def _mul(
-        a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]
-    ) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
+    def _mul(a: _Terms, b: _Terms, at: int) -> _Terms:
+        if len(a) * len(b) > _MAX_TERM_PAIRS:
+            raise ParseError(
+                f"expansion too large: {len(a)} times {len(b)} terms", at
+            )
+        out: _Terms = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
@@ -268,13 +276,16 @@ class _Parser:
                     del out[e]
         return out
 
-    def _pow(
-        self, a: dict[tuple[int, ...], Fraction], k: int
-    ) -> dict[tuple[int, ...], Fraction]:
+    def _pow(self, a: _Terms, k: int, at: int) -> _Terms:
+        """a^k by repeated squaring."""
         zero = tuple(0 for _ in range(self.n))
         result = {zero: Fraction(1)}
-        for _ in range(k):
-            result = self._mul(result, a)
+        while k:
+            if k & 1:
+                result = self._mul(result, a, at)
+            k >>= 1
+            if k:
+                a = self._mul(a, a, at)
         return result
 
 

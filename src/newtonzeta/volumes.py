@@ -21,8 +21,7 @@ from .polytope import (
     LatticePolytope,
     Vec,
     _affine_reduce,
-    _dd_facets,
-    _dot,
+    _dd,
     _extreme_points,
     _sub,
     minkowski_sum,
@@ -88,16 +87,12 @@ def _triangulate(pts: tuple[Vec, ...], adim: int) -> tuple[tuple[Vec, ...], ...]
     ordered = sorted(pts)
     reduced = _affine_reduce(ordered, m)
     assert reduced and len(reduced[0]) == adim, "affine dimension mismatch"
-    facets = _dd_facets(reduced, adim)
     v0 = ordered[0]
-    v0_red = reduced[0]
     simplices: list[tuple[Vec, ...]] = []
-    for nrm, off in facets:
-        if _dot(nrm, v0_red) == off:
+    for tset in _dd(reduced, adim)[1]:
+        if 0 in tset:
             continue
-        fverts = tuple(sorted(
-            orig for orig, red in zip(ordered, reduced) if _dot(nrm, red) == off
-        ))
+        fverts = tuple(ordered[i] for i in sorted(tset))
         for s in _triangulate(fverts, adim - 1):
             simplices.append(tuple(sorted((v0,) + s)))
     result = tuple(simplices)
@@ -254,7 +249,7 @@ def _count_lattice_points(pts: Sequence[Vec]) -> int:
         result = max(vals) - min(vals) + 1
     else:
         extremes = _extreme_points(reduced, a)
-        systems: list[list[tuple[Vec, int]]] = [list(_dd_facets(extremes, a))]
+        systems: list[list[tuple[Vec, int]]] = [list(_dd(extremes, a)[0])]
         for _ in range(a - 1):
             systems.append(_fm_project(systems[-1]))
         systems.reverse()  # systems[j-1] constrains the first j coordinates

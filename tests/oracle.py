@@ -1,7 +1,9 @@
-"""Rational reference solver, the oracle the integer kernel is checked against.
+"""Rational reference routines, the oracles the exact code is checked against.
 
 Plain Gauss-Jordan elimination over Fraction: slow, but independent of
-the unimodular column reduction in newtonzeta.lattice.
+the unimodular column reduction in newtonzeta.lattice.  The per-point
+rank test for vertices is the reference for the mask-based vertex test
+in newtonzeta.polytope.
 """
 
 from __future__ import annotations
@@ -47,3 +49,37 @@ def _solve_in_basis(
     for i, col in enumerate(pivots):
         sol[col] = aug[i][r]
     return sol
+
+
+def _rank(rows: Sequence[tuple[int, ...]]) -> int:
+    """Rank over Q by Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _vertices_by_rank(
+    pts: Sequence[tuple[int, ...]],
+    facets: Sequence[tuple[tuple[int, ...], int]],
+) -> list[int]:
+    """Indices of the vertices of a full-dimensional conv(pts), by ranks.
+
+    A point is a vertex exactly when the normals of the facets through it
+    span the whole space; incidence is recomputed from dot products.
+    """
+    d = len(pts[0])
+    return [
+        i for i, p in enumerate(pts)
+        if _rank([a for a, b in facets
+                  if sum(x * y for x, y in zip(a, p)) == b]) == d
+    ]

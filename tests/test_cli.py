@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from newtonzeta.cli import main
 
@@ -107,6 +108,16 @@ def test_oversized_literals_are_input_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["deform-origin", path])
         assert code == 2
         assert "too long" in err
+
+
+def test_oversized_expansion_is_input_error(tmp_path, capsys):
+    # C(100002, 2) terms: rejected at the first product past the bound
+    path = write_job(tmp_path, {"n": 3, "constraints": ["(z1+z2+z3)^100000"]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["info", path])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "expansion too large" in err
 
 
 def test_schema_error_has_field_path(tmp_path, capsys):

@@ -107,17 +107,28 @@ def test_saturated_basis_random_membership():
 
 
 def _index_by_residue_count(gen_coords):
-    """Order of Z^r modulo the rows of gen_coords, by brute force."""
-    r = len(gen_coords)
-    bound = sum(sum(abs(c) for c in g) for g in gen_coords) + 1
-    count = 0
-    # count integer points x with x = sum lam_i g_i, lam_i in [0,1)
+    """Order of Z^r modulo the rows of gen_coords, by brute force.
+
+    Counts the integer points x = sum lam_i g_i with every lam_i in [0, 1),
+    over the box that bounds that parallelepiped coordinate by coordinate.
+    lam = x . G^-1, with the rows of G^-1 solved once per unit vector.
+    """
     from itertools import product as iproduct
-    for x in iproduct(range(-bound, bound + 1), repeat=r):
-        sol = _solve_in_basis(gen_coords, x)
-        if sol is None:
-            continue
-        if all(0 <= lam < 1 for lam in sol):
+
+    r = len(gen_coords)
+    inverse = [
+        _solve_in_basis(gen_coords, tuple(int(i == k) for i in range(r)))
+        for k in range(r)
+    ]
+    ranges = [
+        range(sum(min(g[c], 0) for g in gen_coords),
+              sum(max(g[c], 0) for g in gen_coords) + 1)
+        for c in range(r)
+    ]
+    count = 0
+    for x in iproduct(*ranges):
+        lam = [sum(x[k] * inverse[k][i] for k in range(r)) for i in range(r)]
+        if all(0 <= v < 1 for v in lam):
             count += 1
     return count
 

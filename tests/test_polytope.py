@@ -16,7 +16,9 @@ from newtonzeta import (
     restrict_to_index_set,
     support_min,
 )
+from newtonzeta.polytope import _affine_reduce, _dd, _extreme_points
 from tests.conftest import random_polytope
+from tests.oracle import _vertices_by_rank
 
 
 def P(*coords):
@@ -243,3 +245,45 @@ def test_facet_normals_are_primitive_and_duplicate_free():
         assert len(set(comps)) == len(comps)
         for rec in records:
             assert rec.normal.is_primitive()
+
+
+def _incidence_cases():
+    """Seeded point sets in Z^n, n = 1..5, with non-vertex points.
+
+    Each set doubles random points of Z^k and adds sums of pairs of them
+    (midpoints of the doubled points), then embeds Z^k into Z^n by a random
+    integer map; k < n gives lower-dimensional sets.
+    """
+    rng = random.Random(2718)
+    for n in range(1, 6):
+        for _ in range(12):
+            k = n if rng.random() < 0.6 else rng.randint(0, n - 1)
+            base = [tuple(rng.randint(0, 3) for _ in range(k))
+                    for _ in range(rng.randint(k + 1, k + 5))]
+            pts = [tuple(2 * c for c in p) for p in base]
+            pts += [tuple(map(sum, zip(rng.choice(base), rng.choice(base))))
+                    for _ in range(rng.randint(1, 4))]
+            embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            yield n, sorted({
+                tuple(sum(e * x for e, x in zip(row, p)) for row in embed)
+                for p in pts
+            })
+
+
+def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
+    dims = set()
+    for n, uniq in _incidence_cases():
+        reduced = _affine_reduce(uniq, n)
+        d = len(reduced[0])
+        dims.add((n, d))
+        if d == 0:
+            continue
+        facets, tights = _dd(reduced, d)
+        for (a, b), tset in zip(facets, tights):
+            values = [sum(x * y for x, y in zip(a, p)) for p in reduced]
+            assert min(values) == b
+            assert tset == {i for i, v in enumerate(values) if v == b}
+        want = [uniq[i] for i in _vertices_by_rank(reduced, facets)]
+        assert _extreme_points(uniq, n) == want
+    assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
+    assert any(d < n for n, d in dims)

@@ -1,6 +1,7 @@
 """Parsing, Newton polytopes, restriction, the cone construction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,16 @@ def test_parse_parenthesized_power():
 def test_parse_numeric_power_is_a_coefficient():
     p = parse_polynomial("2^3*z1", ["z1"])
     assert p.as_dict() == {(1,): 8}
+
+
+def test_parse_large_power_by_repeated_squaring():
+    start = time.perf_counter()
+    p = parse_polynomial("z1^1000000 + z2", ["z1", "z2"])
+    assert time.perf_counter() - start < 0.5
+    assert p.as_dict() == {(1000000, 0): 1, (0, 1): 1}
+    assert parse_polynomial("(z1 - 2)^5", ["z1"]).as_dict() == {
+        (5,): 1, (4,): -10, (3,): 40, (2,): -80, (1,): 80, (0,): -32,
+    }
 
 
 def test_parse_zero_denominator_rejected():
