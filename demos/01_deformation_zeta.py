@@ -13,11 +13,11 @@ polytopes: no root is ever solved for.
 
 from newtonzeta import (
     SystemSpec,
+    ZetaProduct,
     newton_polytope,
     parse_polynomial,
     restrict_system,
     zeta_deformation,
-    zeta_stratum_origin,
 )
 
 spec = SystemSpec(
@@ -31,11 +31,18 @@ for v in P.vertices:
     print("   ", v.coords)
 
 # The affine zeta-function is a product over the strata of C^2 that
-# contain the parameter axis: here {z2-axis} and the full plane.
+# contain the parameter axis: here {z2-axis} and the full plane.  Each
+# trace names its stratum, so grouping the traces by index set gives the
+# per-stratum factors.
+z, traces = zeta_deformation(spec, mode="origin", scope="affine")
+per_stratum: dict[frozenset, dict[int, int]] = {}
+for t in traces:
+    exps = per_stratum.setdefault(t.index_set, {})
+    exps[t.m] = exps.get(t.m, 0) + t.exponent
 print("\nPer-stratum factors (monodromy at the origin):")
-for index_set in ({1}, {0, 1}):
+for index_set in (frozenset({1}), frozenset({0, 1})):
     rs = restrict_system(spec, index_set)
-    factor = zeta_stratum_origin(rs)
+    factor = ZetaProduct.from_exponents(per_stratum.get(index_set, {}))
     names = "{" + ", ".join("z1 z2".split()[i] for i in sorted(index_set)) + "}"
     print(f"    stratum {names}: kept {rs.k_of_I} constraint(s), factor {factor.pretty()}")
 
@@ -43,7 +50,6 @@ for scope in ("torus", "affine"):
     z, traces = zeta_deformation(spec, mode="origin", scope=scope)
     print(f"\nzeta at the origin, {scope} scope: {z.pretty()}  (degree {z.degree()})")
 
-z, traces = zeta_deformation(spec, mode="origin", scope="affine")
 print("\nContributing covectors:")
 for t in traces:
     print(f"    stratum {sorted(t.index_set)}, alpha = {t.alpha.comps}, "

@@ -35,7 +35,7 @@ from .volumes import (
     lattice_volume,
     mixed_volume_of,
 )
-from .qforms import Composition, q_compositions, q_exponent, q_tilde_exponent
+from .qforms import q_exponent, q_tilde_exponent
 from .systems import (
     ParseError,
     PolynomialInput,
@@ -56,8 +56,6 @@ from .engine import (
     zeta_deformation,
     zeta_polynomial,
     zeta_polynomial_via_cone,
-    zeta_stratum_infinity,
-    zeta_stratum_origin,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +80,6 @@ __all__ = [
     "lattice_point_volume_oracle",
     "lattice_volume",
     "mixed_volume_of",
-    "Composition",
-    "q_compositions",
     "q_exponent",
     "q_tilde_exponent",
     "ParseError",
@@ -103,6 +99,4 @@ __all__ = [
     "zeta_deformation",
     "zeta_polynomial",
     "zeta_polynomial_via_cone",
-    "zeta_stratum_infinity",
-    "zeta_stratum_origin",
 ]

@@ -43,8 +43,6 @@ __all__ = [
     "ZetaProduct",
     "ContributionTrace",
     "candidate_covectors",
-    "zeta_stratum_origin",
-    "zeta_stratum_infinity",
     "zeta_deformation",
     "zeta_polynomial",
     "zeta_polynomial_via_cone",
@@ -263,22 +261,6 @@ def _deformation_stratum(
             face_dims=tuple(dim(f) for f in faces),
         ))
     return factors, traces
-
-
-def zeta_stratum_origin(rs: RestrictedSystem) -> ZetaProduct:
-    """Stratum factor of the deformation zeta-function at the origin."""
-    if rs.n - 1 not in rs.index_set:
-        raise ValueError("stratum must contain the deformation variable")
-    factors, _ = _deformation_stratum(rs, +1)
-    return ZetaProduct.from_exponents(factors)
-
-
-def zeta_stratum_infinity(rs: RestrictedSystem) -> ZetaProduct:
-    """Stratum factor of the deformation zeta-function at infinity."""
-    if rs.n - 1 not in rs.index_set:
-        raise ValueError("stratum must contain the deformation variable")
-    factors, _ = _deformation_stratum(rs, -1)
-    return ZetaProduct.from_exponents(factors)
 
 
 def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[int]]:

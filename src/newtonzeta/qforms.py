@@ -3,64 +3,21 @@
 The zeta factors raise (1 - t^m) to integer exponents obtained by
 evaluating the degree-l part of prod_i x_i/(1+x_i) on polytopes, where a
 monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
-the bodies taken with those multiplicities.  Expanding each geometric
-series gives one signed term per composition of l into k positive parts,
-all carrying the same sign (-1)^(l-k); the enumeration below is explicit
-because l never exceeds the ambient dimension.
+the bodies taken with those multiplicities.  Their sum over the
+compositions a >= 1 of l is one dilation sum, sum_b c(b) Vol_l(b.F) with
+c(b) = (-1)^(|b|+k) C(l+k-1-z(b), |b|+k-1), derived in ``volumes``; so no
+composition is enumerated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .lattice import LatticeFrame
 from .polytope import LatticePolytope
-from .volumes import mixed_volume_of
+from .volumes import _dilation_sum
 
-__all__ = ["Composition", "q_compositions", "q_exponent", "q_tilde_exponent"]
-
-
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive parts with a fixed total degree."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError("composition parts must be positive integers")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
-
-
-def q_compositions(l: int, k: int) -> list[tuple[Composition, int]]:
-    """All compositions of l into k positive parts, with their signs.
-
-    Each composition carries the sign (-1)^(l-k) inherited from the
-    series x/(1+x) = x - x^2 + x^3 - ...; the list is empty when k > l
-    (no composition exists) and when k = 0 < l (the degree-l part of the
-    empty product vanishes).  The degenerate l = k = 0 case contributes
-    the single empty composition with sign +1.
-    """
-    if l < 0 or k < 0:
-        raise ValueError("q_compositions arguments must be nonnegative")
-    if k == 0:
-        return [(Composition(()), 1)] if l == 0 else []
-    if k > l:
-        return []
-    sign = (-1) ** (l - k)
-    out = []
-    for cuts in combinations(range(1, l), k - 1):
-        bounds = (0,) + cuts + (l,)
-        parts = tuple(bounds[i + 1] - bounds[i] for i in range(k))
-        out.append((Composition(parts), sign))
-    return out
+__all__ = ["q_exponent", "q_tilde_exponent"]
 
 
 def q_exponent(
@@ -81,13 +38,7 @@ def q_exponent(
         return 0
     if any(f.is_empty for f in faces):
         return 0
-    total = 0
-    for comp, sign in q_compositions(l, k):
-        bodies: list[LatticePolytope] = []
-        for body, mult in zip(faces, comp.parts):
-            bodies.extend([body] * mult)
-        total += sign * mixed_volume_of(bodies, frame)
-    return total
+    return _dilation_sum(faces, frame)
 
 
 def q_tilde_exponent(

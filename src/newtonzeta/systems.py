@@ -136,6 +136,17 @@ _Terms = dict[tuple[int, ...], Fraction]
 # time and memory of each multiplication in an expansion
 _MAX_TERM_PAIRS = 10**5
 
+# Python's limit on the digits of an int converted to text: a longer
+# numerator or denominator could be parsed but never printed
+_MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10**_MAX_COEFF_DIGITS
+
+
+def _check_coefficients(terms: _Terms, at: int) -> None:
+    if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
+           for c in terms.values()):
+        raise ParseError(f"coefficient of more than {_MAX_COEFF_DIGITS} digits", at)
+
 
 def _int_literal(digits: str, at: int) -> int:
     """Value of a numeric literal; one too long for int() is a ParseError."""
@@ -274,6 +285,7 @@ class _Parser:
                     out[e] = c
                 elif e in out:
                     del out[e]
+        _check_coefficients(out, at)
         return out
 
     def _pow(self, a: _Terms, k: int, at: int) -> _Terms:
@@ -297,6 +309,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> PolynomialInput:
     terms = parser.parse()
     if not terms:
         raise ParseError("zero polynomial", 0)
+    _check_coefficients(terms, 0)
     return PolynomialInput.from_dict(terms, len(list(variables)), source_text=text)
 
 

@@ -1,11 +1,23 @@
 """Lattice-normalized volumes and mixed volumes of lattice polytopes.
 
 Volumes are measured in a saturated frame of a rational affine subspace,
-so the fundamental lattice cell has volume one.  Mixed volumes come from
-the inclusion-exclusion polarization over Minkowski subset sums, scaled
-by l! so the result is always a nonnegative integer.  A lattice-point
-counting oracle (dilate, count, interpolate) provides an independent
-route to the same volumes for cross-validation.
+so the fundamental lattice cell has volume one.  Mixed volumes and the
+q-exponents of ``qforms`` are one dilation sum over k bodies F_i in an
+l-frame, evaluated by ``_dilation_sum``:
+
+    sum_b c(b) Vol_l(b_1 F_1 + ... + b_k F_k),
+    c(b) = (-1)^(|b|+k) C(l+k-1-z(b), |b|+k-1),
+
+over b >= 0, b != 0, with z(b) zero entries in b and |b| + z(b) <= l.
+It equals (-1)^(l-k) sum_a l! MV(F^a) over compositions a >= 1 of l,
+body F_i taken a_i times.  Polarization gives l! MV(F^a) = sum_{0<=b<=a}
+(-1)^(l-|b|) prod_i C(a_i, b_i) Vol_l(b.F); summing over a with
+sum_{a>=1} C(a,b) x^a = x^max(b,1) / (1-x)^(b+1), c(b) is the
+coefficient of x^l in the product over i.  For k = l only a = (1,...,1)
+is left, b runs over the nonzero 0/1 vectors with c(b) = (-1)^(l-|b|),
+and the sum is l! MV(F_1, ..., F_l).
+A lattice-point counting oracle (dilate, count, interpolate) provides an
+independent route to the same volumes for cross-validation.
 
 All caches are plain dicts keyed by canonical immutable values.
 """
@@ -13,8 +25,9 @@ All caches are plain dicts keyed by canonical immutable values.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lattice import LatticeFrame, _abs_det, _coords_in, _rank
 from .polytope import (
@@ -24,7 +37,6 @@ from .polytope import (
     _dd,
     _extreme_points,
     _sub,
-    minkowski_sum,
 )
 
 __all__ = [
@@ -104,16 +116,14 @@ _vol_cache: dict[tuple[Vec, ...], Fraction] = {}
 
 
 def _volume_of_points(pts: Sequence[Vec], l: int) -> Fraction:
-    """l-dimensional normalized volume of conv(pts) inside Z^l."""
+    """l-dimensional normalized volume of conv(pts), pts extreme in Z^l."""
     if l == 0:
         return Fraction(1)
-    canon = _canonical_pts(pts)
-    cached = _vol_cache.get(canon)
+    extremes = _canonical_pts(pts)
+    cached = _vol_cache.get(extremes)
     if cached is not None:
         return cached
-    extremes = tuple(_extreme_points(list(canon), l))
-    base = extremes[0]
-    diffs = [_sub(p, base) for p in extremes[1:]]
+    diffs = list(extremes[1:])
     adim = _rank(diffs)
     if adim < l:
         vol = Fraction(0)
@@ -123,7 +133,7 @@ def _volume_of_points(pts: Sequence[Vec], l: int) -> Fraction:
             mat = [_sub(v, s[0]) for v in s[1:]]
             total += _abs_det(mat)
         vol = Fraction(total, factorial(l))
-    _vol_cache[canon] = vol
+    _vol_cache[extremes] = vol
     return vol
 
 
@@ -143,11 +153,52 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     return _volume_of_points(reduced, frame.rank)
 
 
-_nmv_cache: dict[tuple, int] = {}
+def _dilation_terms(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Dilation vectors b of k bodies in lexicographic order, with c(b)."""
+    # b_i <= l - (k - 1): each other entry costs at least one degree
+    for b in product(range(l - k + 2), repeat=k):
+        size = sum(b)
+        zeros = b.count(0)
+        if size and size + zeros <= l:
+            yield b, (-1) ** (size + k) * comb(l + k - 1 - zeros, size + k - 1)
 
 
-def _body_key(P: LatticePolytope, frame: LatticeFrame) -> tuple[Vec, ...]:
-    return _canonical_pts(_reduce_to_frame(P, frame))
+_dilation_cache: dict[tuple[tuple[Vec, ...], ...], int] = {}
+
+
+def _dilation_sum(
+    polytopes: Sequence[LatticePolytope], frame: LatticeFrame
+) -> int:
+    """Sum of c(b) Vol_l(b_1 F_1 + ... + b_k F_k) for k nonempty bodies.
+
+    The memo, keyed by the sorted canonical frame point sets, is looked up
+    before any term is built; each dilated sum is built once, from the
+    sum for the prefix of b, which lexicographic order has already made.
+    """
+    bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
+                          for P in polytopes))
+    cached = _dilation_cache.get(bodies)
+    if cached is not None:
+        return cached
+    l = frame.rank
+    sums: dict[tuple[int, ...], list[Vec]] = {(): [(0,) * l]}
+    total = Fraction(0)
+    for b, c in _dilation_terms(len(bodies), l):
+        pts = sums[()]
+        for j, t in enumerate(b):
+            nxt = sums.get(b[: j + 1])
+            if nxt is None:
+                nxt = pts if t == 0 else _extreme_points(
+                    [tuple(x + t * y for x, y in zip(p, q))
+                     for p in pts for q in bodies[j]],
+                    l,
+                )
+                sums[b[: j + 1]] = nxt
+            pts = nxt
+        total += c * _volume_of_points(pts, l)
+    assert total.denominator == 1, "dilation sum failed to be integral"
+    result = _dilation_cache[bodies] = int(total)
+    return result
 
 
 def mixed_volume_of(
@@ -155,8 +206,9 @@ def mixed_volume_of(
 ) -> int:
     """l! times the lattice mixed volume of l bodies in an l-frame.
 
-    Inclusion-exclusion over Minkowski subset sums; symmetric, integer,
-    nonnegative.  Any empty body gives 0.
+    The dilation sum with k = l, that is, polarization over the 2^l - 1
+    nonempty subsets.  Symmetric, integer, nonnegative.  Any empty body
+    gives 0.
     """
     bodies = list(polytopes)
     l = frame.rank
@@ -166,25 +218,8 @@ def mixed_volume_of(
         return 0
     if l == 0:
         return 1
-    frame_key = (frame.ambient_dim, tuple(b.coords for b in frame.basis))
-    key = (tuple(sorted(_body_key(b, frame) for b in bodies)), frame_key)
-    cached = _nmv_cache.get(key)
-    if cached is not None:
-        return cached
-
-    sums: dict[int, LatticePolytope] = {}
-    total = Fraction(0)
-    for mask in range(1, 1 << l):
-        low = mask & (-mask)
-        rest = mask ^ low
-        body = bodies[low.bit_length() - 1]
-        sums[mask] = body if rest == 0 else minkowski_sum(sums[rest], body)
-        size = mask.bit_count()
-        total += (-1) ** (l - size) * lattice_volume(sums[mask], frame)
-    assert total.denominator == 1, "mixed volume failed to be integral"
-    result = int(total)
+    result = _dilation_sum(bodies, frame)
     assert result >= 0, "mixed volume failed to be nonnegative"
-    _nmv_cache[key] = result
     return result
 
 

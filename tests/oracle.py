@@ -3,13 +3,25 @@
 Plain Gauss-Jordan elimination over Fraction: slow, but independent of
 the unimodular column reduction in newtonzeta.lattice.  The per-point
 rank test for vertices is the reference for the mask-based vertex test
-in newtonzeta.polytope.
+in newtonzeta.polytope.  The composition expansion of the q-exponents
+and the inclusion-exclusion over all 2^l Minkowski subset sums are the
+references for the dilation sums in newtonzeta.volumes and
+newtonzeta.qforms.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
+
+from newtonzeta import (
+    LatticeFrame,
+    LatticePolytope,
+    lattice_volume,
+    minkowski_sum,
+)
 
 
 def _solve_in_basis(
@@ -83,3 +95,91 @@ def _vertices_by_rank(
         if _rank([a for a, b in facets
                   if sum(x * y for x, y in zip(a, p)) == b]) == d
     ]
+
+
+@dataclass(frozen=True)
+class Composition:
+    """An ordered tuple of positive parts with a fixed total degree."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        for p in self.parts:
+            if not isinstance(p, int) or p < 1:
+                raise ValueError("composition parts must be positive integers")
+
+    @property
+    def degree(self) -> int:
+        return sum(self.parts)
+
+
+def q_compositions(l: int, k: int) -> list[tuple[Composition, int]]:
+    """All compositions of l into k positive parts, with their signs.
+
+    Each composition carries the sign (-1)^(l-k) inherited from the
+    series x/(1+x) = x - x^2 + x^3 - ...; the list is empty when k > l
+    (no composition exists) and when k = 0 < l (the degree-l part of the
+    empty product vanishes).  The degenerate l = k = 0 case contributes
+    the single empty composition with sign +1.
+    """
+    if l < 0 or k < 0:
+        raise ValueError("q_compositions arguments must be nonnegative")
+    if k == 0:
+        return [(Composition(()), 1)] if l == 0 else []
+    if k > l:
+        return []
+    sign = (-1) ** (l - k)
+    out = []
+    for cuts in combinations(range(1, l), k - 1):
+        bounds = (0,) + cuts + (l,)
+        parts = tuple(bounds[i + 1] - bounds[i] for i in range(k))
+        out.append((Composition(parts), sign))
+    return out
+
+
+def mixed_volume_by_subsets(
+    polytopes: Sequence[LatticePolytope], frame: LatticeFrame
+) -> int:
+    """l! times the mixed volume, by inclusion-exclusion over 2^l subsets."""
+    bodies = list(polytopes)
+    l = frame.rank
+    if len(bodies) != l:
+        raise ValueError("number of bodies must equal the frame rank")
+    if any(b.is_empty for b in bodies):
+        return 0
+    if l == 0:
+        return 1
+    sums: dict[int, LatticePolytope] = {}
+    total = Fraction(0)
+    for mask in range(1, 1 << l):
+        low = mask & (-mask)
+        rest = mask ^ low
+        body = bodies[low.bit_length() - 1]
+        sums[mask] = body if rest == 0 else minkowski_sum(sums[rest], body)
+        size = mask.bit_count()
+        total += (-1) ** (l - size) * lattice_volume(sums[mask], frame)
+    assert total.denominator == 1, "mixed volume failed to be integral"
+    return int(total)
+
+
+def q_exponent_by_compositions(
+    l: int, faces: Sequence[LatticePolytope], frame: LatticeFrame
+) -> int:
+    """Signed sum of mixed volumes over the compositions of degree l."""
+    k = len(faces)
+    if l == 0:
+        return 1 if k == 0 else 0
+    if frame.rank != l:
+        raise ValueError("frame rank must equal the exponent degree")
+    if k == 0 or k > l:
+        return 0
+    if any(f.is_empty for f in faces):
+        return 0
+    total = 0
+    for comp, sign in q_compositions(l, k):
+        bodies: list[LatticePolytope] = []
+        for body, mult in zip(faces, comp.parts):
+            bodies.extend([body] * mult)
+        total += sign * mixed_volume_by_subsets(bodies, frame)
+    return total

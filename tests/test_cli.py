@@ -110,6 +110,19 @@ def test_oversized_literals_are_input_errors(tmp_path, capsys):
         assert "too long" in err
 
 
+def test_oversized_expanded_coefficients_are_input_errors(tmp_path, capsys):
+    # short literals whose expansion passes the 4300-digit limit: a power,
+    # a denominator, and a sum of two admissible literals
+    nines = "9" * 4300
+    for text in ("2^20000*z1 + z2", "z1 + 1/2^20000",
+                 f"{nines}*z1 + {nines}*z1 + z2"):
+        path = write_job(tmp_path, {"n": 2, "constraints": [text]})
+        for task in ("info", "deform-origin"):
+            code, out, err = run_cli(capsys, [task, path])
+            assert code == 2
+            assert "coefficient of more than 4300 digits" in err
+
+
 def test_oversized_expansion_is_input_error(tmp_path, capsys):
     # C(100002, 2) terms: rejected at the first product past the bound
     path = write_job(tmp_path, {"n": 3, "constraints": ["(z1+z2+z3)^100000"]})

@@ -18,9 +18,8 @@ from newtonzeta import (
     zeta_deformation,
     zeta_polynomial,
     zeta_polynomial_via_cone,
-    zeta_stratum_infinity,
-    zeta_stratum_origin,
 )
+from newtonzeta.engine import _deformation_stratum
 from tests.conftest import random_support
 
 
@@ -100,26 +99,28 @@ def test_candidates_are_primitive_and_sorted():
 # deformation strata
 # ---------------------------------------------------------------------------
 
+def stratum_factors(spec, mode):
+    """Per-stratum products, from the affine traces grouped by index_set."""
+    _, traces = zeta_deformation(spec, mode=mode, scope="affine")
+    grouped = {}
+    for t in traces:
+        exps = grouped.setdefault(t.index_set, {})
+        exps[t.m] = exps.get(t.m, 0) + t.exponent
+    return {idx: ZetaProduct.from_exponents(e) for idx, e in grouped.items()}
+
+
 def test_parameter_axis_stratum_without_constraints():
     spec = SystemSpec.from_supports(2, [[[1, 0]]])  # misses the z2 axis
-    rs = restrict_system(spec, {1})
-    assert rs.k_of_I == 0
-    assert zeta_stratum_origin(rs).factors == ((1, 1),)
-    assert zeta_stratum_infinity(rs).factors == ((1, 1),)
+    assert restrict_system(spec, {1}).k_of_I == 0
+    for mode in ("origin", "infinity"):
+        assert stratum_factors(spec, mode)[frozenset({1})].factors == ((1, 1),)
 
 
 def test_parameter_axis_stratum_with_constraint_is_trivial():
     spec = SystemSpec.from_supports(2, [[[0, 1], [1, 1]]])  # meets the z2 axis
-    rs = restrict_system(spec, {1})
-    assert rs.k_of_I == 1
-    assert zeta_stratum_origin(rs).is_one
-
-
-def test_stratum_requires_parameter_variable():
-    spec = SystemSpec.from_supports(2, [[[1, 0], [1, 1]]])
-    rs = restrict_system(spec, {0})
-    with pytest.raises(ValueError, match="deformation variable"):
-        zeta_stratum_origin(rs)
+    assert restrict_system(spec, {1}).k_of_I == 1
+    factors = stratum_factors(spec, "origin")
+    assert factors.get(frozenset({1}), ZetaProduct.one()).is_one
 
 
 def test_two_point_fiber_deformation():
@@ -154,19 +155,24 @@ def test_hyperbola_deformation_at_infinity():
 
 def test_monomial_constraints_give_trivial_strata():
     spec = SystemSpec.from_supports(3, [[[1, 1, 0]], [[0, 1, 1]]])
-    for idx in [{0, 1, 2}, {1, 2}, {0, 2}, {2}]:
-        rs = restrict_system(spec, idx)
-        if rs.k_of_I >= 1:
-            assert zeta_stratum_origin(rs).is_one
-            assert zeta_stratum_infinity(rs).is_one
+    for mode in ("origin", "infinity"):
+        factors = stratum_factors(spec, mode)
+        for idx in [{0, 1, 2}, {1, 2}, {0, 2}, {2}]:
+            if restrict_system(spec, idx).k_of_I >= 1:
+                assert factors.get(frozenset(idx), ZetaProduct.one()).is_one
 
 
 def test_affine_equals_product_of_strata():
     spec = paper_style_system()
     total, _ = zeta_deformation(spec, mode="origin", scope="affine")
+    factors = stratum_factors(spec, "origin")
+    assert set(factors) <= {frozenset({1}), frozenset({0, 1})}
     pieces = ZetaProduct.one()
     for idx in [{1}, {0, 1}]:
-        pieces = pieces * zeta_stratum_origin(restrict_system(spec, idx))
+        exps, _ = _deformation_stratum(restrict_system(spec, idx), +1)
+        piece = ZetaProduct.from_exponents(exps)
+        assert factors.get(frozenset(idx), ZetaProduct.one()) == piece
+        pieces = pieces * piece
     assert total == pieces
 
 

@@ -1,19 +1,25 @@
-"""Composition enumeration and the signed mixed-volume exponents."""
+"""The signed mixed-volume exponents, and the composition enumeration
+of the reference route they are checked against."""
 
 import random
 
 import pytest
 
 from newtonzeta import (
-    Composition,
     IntPoint,
     LatticeFrame,
     hull,
-    q_compositions,
+    mixed_volume_of,
     q_exponent,
     q_tilde_exponent,
 )
 from tests.conftest import random_polytope
+from tests.oracle import (
+    Composition,
+    mixed_volume_by_subsets,
+    q_compositions,
+    q_exponent_by_compositions,
+)
 
 
 def P(*coords):
@@ -154,3 +160,70 @@ def test_cone_over_distinguished_body_matches_tilde_exponent():
         )
         rhs = q_tilde_exponent(n, _lift(D0), [_lift(D) for D in Ds], base)
         assert lhs == rhs
+
+
+def _random_frame(rng, l, embedded):
+    """The standard l-frame, or a random rank-l frame inside Z^(l+1)."""
+    if not embedded:
+        return LatticeFrame.standard(l)
+    while True:
+        dirs = [IntPoint(tuple(rng.randint(-2, 2) for _ in range(l + 1)))
+                for _ in range(l)]
+        frame = LatticeFrame.span_of(dirs, l + 1)
+        if frame.rank == l:
+            return frame
+
+
+def _random_face(rng, kind, frame, earlier):
+    """A face in a translate of the frame's span, built by ``kind``."""
+    l, n = frame.rank, frame.ambient_dim
+    if kind == "repeat":
+        return rng.choice(earlier)
+    shift = tuple(rng.randint(-3, 3) for _ in range(n))
+    if kind == "translate":
+        base = rng.choice(earlier)
+        return hull([IntPoint(tuple(c + s for c, s in zip(v.coords, shift)))
+                     for v in base.vertices])
+    # [0, 2]^1 holds only three points; at l = 4 more make the oracle slow
+    npts = {"point": 1, "segment": 2}.get(kind) or rng.randint(
+        3, 3 if l in (1, 4) else 4)
+    coords = set()
+    while len(coords) < npts:
+        coords.add(tuple(rng.randint(0, 2) for _ in range(l)))
+    pts = []
+    for x in coords:
+        p = list(shift)
+        for xj, b in zip(x, frame.basis):
+            p = [pi + xj * bi for pi, bi in zip(p, b.coords)]
+        pts.append(IntPoint(tuple(p)))
+    return hull(pts)
+
+
+def test_dilation_sums_match_composition_oracle():
+    # every l <= 4 and 1 <= k <= l + 1, in standard and embedded frames,
+    # with repeated, translated, point and segment faces; exact equality
+    rng = random.Random(4242)
+    kinds_seen = set()
+    cases = [(l, k, embedded) for l in range(1, 5) for k in range(1, l + 2)
+             for embedded in (False, True)]
+    for l, k, embedded in cases * 5:
+        frame = _random_frame(rng, l, embedded)
+        faces = []
+        for _ in range(k):
+            # a point face makes the exponent 0, so most faces are bodies
+            kinds = ["body"] * 4 + ["point", "segment"]
+            if faces:
+                kinds += ["repeat", "translate"]
+            kind = rng.choice(kinds)
+            kinds_seen.add(kind)
+            faces.append(_random_face(rng, kind, frame, faces))
+        expected = q_exponent_by_compositions(l, faces, frame)
+        assert q_exponent(l, faces, frame) == expected
+        assert q_tilde_exponent(l, faces[0], faces[1:], frame) == (
+            q_exponent_by_compositions(l, faces[1:], frame) - expected
+        )
+        bodies = [faces[i % k] for i in range(l)]
+        assert mixed_volume_of(bodies, frame) == (
+            mixed_volume_by_subsets(bodies, frame)
+        )
+    assert kinds_seen == {"body", "point", "segment", "repeat", "translate"}
