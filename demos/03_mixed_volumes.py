@@ -35,7 +35,7 @@ print("\nthe counting oracle sees the same numbers:")
 for name, body in (("square", square), ("triangle", triangle)):
     direct = lattice_volume(body, frame2)
     counted = lattice_point_volume_oracle(body, frame2)
-    print(f"    {name}: triangulated {direct}, interpolated from counts {counted}")
+    print(f"    {name}: facet pyramids {direct}, interpolated from counts {counted}")
 
 print("\na segment measured inside its own affine line:")
 seg = P((0, 0), (3, 3))

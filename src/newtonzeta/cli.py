@@ -103,7 +103,8 @@ class Job:
         self.task = task
 
         n = data.get("n")
-        _expect(isinstance(n, int) and n >= 1, "n", "a positive integer is required")
+        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+                "n", "a positive integer is required")
         self.n = n
 
         variables = data.get("variables")

@@ -2,7 +2,7 @@
 
 Everything is arbitrary-precision integer arithmetic; no floating point
 enters at any stage.  The one elimination is a unimodular column
-reduction of an integer matrix: ranks, determinants, saturated kernels
+reduction of an integer matrix: ranks, saturated kernels
 and spans, frame coordinates and primitive line normals all read off it.
 
 Points and covectors are deliberately distinct types even though both
@@ -14,7 +14,7 @@ direction-confusion bugs at type-check time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 from typing import Sequence
 
 __all__ = [
@@ -185,12 +185,6 @@ def _int_kernel(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]
 def _rank(rows: Sequence[tuple[int, ...]]) -> int:
     """Rank over Q of a stack of integer rows."""
     return len(_column_reduce(rows, len(rows[0]) if rows else 0)[0])
-
-
-def _abs_det(rows: Sequence[tuple[int, ...]]) -> int:
-    """|det| of a square integer matrix: the product of the pivot gcds."""
-    pivots, _ = _column_reduce(rows, len(rows))
-    return prod(g for _, _, g in pivots) if len(pivots) == len(rows) else 0
 
 
 def _right_inverse(

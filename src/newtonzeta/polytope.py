@@ -182,18 +182,6 @@ def _dd(
     if cached is not None:
         return cached
 
-    if d == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        assert lo < hi, "full-dimensional 1-polytope needs two distinct points"
-        facets = (((1,), lo), ((-1,), -hi))
-        tights = (
-            frozenset(i for i, p in enumerate(pts) if p[0] == lo),
-            frozenset(i for i, p in enumerate(pts) if p[0] == hi),
-        )
-        _facet_cache[key] = (facets, tights)
-        return facets, tights
-
     w = d + 1
     rows = [(1,) + p for p in pts]
 

@@ -1,7 +1,13 @@
 """Lattice-normalized volumes and mixed volumes of lattice polytopes.
 
 Volumes are measured in a saturated frame of a rational affine subspace,
-so the fundamental lattice cell has volume one.  Mixed volumes and the
+so the fundamental lattice cell has volume one.  ``_volume_of_points``
+returns the integer l! Vol_l as a sum of lattice pyramids over the
+facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
+a.x >= b with primitive a adds the lattice distance a.v0 - b times the
+(l-1)! Vol_{l-1} of the facet in a saturated basis of its own hyperplane
+lattice, because that lattice's cell has Euclidean volume |a|.  Facets
+through v0 have height zero and are skipped.  Mixed volumes and the
 q-exponents of ``qforms`` are one dilation sum over k bodies F_i in an
 l-frame, evaluated by ``_dilation_sum``:
 
@@ -29,7 +35,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
-from .lattice import LatticeFrame, _abs_det, _coords_in, _rank
+from .lattice import LatticeFrame, _coords_in, _rank
 from .polytope import (
     LatticePolytope,
     Vec,
@@ -75,64 +81,24 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(_sub(p, base) for p in uniq)
 
 
-# ---------------------------------------------------------------------------
-# simplicial triangulation
-# ---------------------------------------------------------------------------
-
-_tri_cache: dict[frozenset[Vec], tuple[tuple[Vec, ...], ...]] = {}
+_vol_cache: dict[tuple[Vec, ...], int] = {}
 
 
-def _triangulate(pts: tuple[Vec, ...], adim: int) -> tuple[tuple[Vec, ...], ...]:
-    """Triangulate from a base vertex into ``adim``-simplices.
-
-    ``pts`` must be the extreme points of a polytope of affine dimension
-    ``adim``; simplices are returned as sorted vertex tuples in the same
-    coordinates.
-    """
-    if len(pts) == adim + 1:
-        return (tuple(sorted(pts)),)
-    key = frozenset(pts)
-    cached = _tri_cache.get(key)
-    if cached is not None:
-        return cached
-    m = len(pts[0])
-    ordered = sorted(pts)
-    reduced = _affine_reduce(ordered, m)
-    assert reduced and len(reduced[0]) == adim, "affine dimension mismatch"
-    v0 = ordered[0]
-    simplices: list[tuple[Vec, ...]] = []
-    for tset in _dd(reduced, adim)[1]:
-        if 0 in tset:
-            continue
-        fverts = tuple(ordered[i] for i in sorted(tset))
-        for s in _triangulate(fverts, adim - 1):
-            simplices.append(tuple(sorted((v0,) + s)))
-    result = tuple(simplices)
-    _tri_cache[key] = result
-    return result
-
-
-_vol_cache: dict[tuple[Vec, ...], Fraction] = {}
-
-
-def _volume_of_points(pts: Sequence[Vec], l: int) -> Fraction:
-    """l-dimensional normalized volume of conv(pts), pts extreme in Z^l."""
+def _volume_of_points(pts: Sequence[Vec], l: int) -> int:
+    """l! Vol_l(conv pts) for extreme pts in Z^l, a pyramid sum over facets."""
     if l == 0:
-        return Fraction(1)
+        return 1
     extremes = _canonical_pts(pts)
     cached = _vol_cache.get(extremes)
     if cached is not None:
         return cached
-    diffs = list(extremes[1:])
-    adim = _rank(diffs)
-    if adim < l:
-        vol = Fraction(0)
-    else:
-        total = 0
-        for s in _triangulate(extremes, l):
-            mat = [_sub(v, s[0]) for v in s[1:]]
-            total += _abs_det(mat)
-        vol = Fraction(total, factorial(l))
+    vol = 0
+    if _rank(extremes[1:]) == l:
+        # extremes[0] is the origin, at lattice distance -b from a facet
+        for (_, b), tset in zip(*_dd(extremes, l)):
+            if b:
+                base = [extremes[i] for i in sorted(tset)]
+                vol -= b * _volume_of_points(_affine_reduce(base, l), l - 1)
     _vol_cache[extremes] = vol
     return vol
 
@@ -149,8 +115,8 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     """
     if P.is_empty:
         raise ValueError("volume of empty polytope")
-    reduced = _reduce_to_frame(P, frame)
-    return _volume_of_points(reduced, frame.rank)
+    l = frame.rank
+    return Fraction(_volume_of_points(_reduce_to_frame(P, frame), l), factorial(l))
 
 
 def _dilation_terms(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -182,7 +148,7 @@ def _dilation_sum(
         return cached
     l = frame.rank
     sums: dict[tuple[int, ...], list[Vec]] = {(): [(0,) * l]}
-    total = Fraction(0)
+    total = 0
     for b, c in _dilation_terms(len(bodies), l):
         pts = sums[()]
         for j, t in enumerate(b):
@@ -196,8 +162,9 @@ def _dilation_sum(
                 sums[b[: j + 1]] = nxt
             pts = nxt
         total += c * _volume_of_points(pts, l)
-    assert total.denominator == 1, "dilation sum failed to be integral"
-    result = _dilation_cache[bodies] = int(total)
+    result, rem = divmod(total, factorial(l))
+    assert rem == 0, "dilation sum failed to be integral"
+    _dilation_cache[bodies] = result
     return result
 
 
@@ -264,33 +231,22 @@ def _fm_project(ineqs: Sequence[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     return [(a, b) for a, b in kept.items()]
 
 
-_count_cache: dict[frozenset[Vec], int] = {}
-
-
 def _count_lattice_points(pts: Sequence[Vec]) -> int:
     """Number of lattice points in conv(pts)."""
     uniq = sorted(set(pts))
-    key = frozenset(uniq)
-    cached = _count_cache.get(key)
-    if cached is not None:
-        return cached
-    m = len(uniq[0])
-    reduced = _affine_reduce(uniq, m)
+    reduced = _affine_reduce(uniq, len(uniq[0]))
     a = len(reduced[0])
     if a == 0:
-        result = 1
-    elif a == 1:
+        return 1
+    if a == 1:
         vals = [p[0] for p in reduced]
-        result = max(vals) - min(vals) + 1
-    else:
-        extremes = _extreme_points(reduced, a)
-        systems: list[list[tuple[Vec, int]]] = [list(_dd(extremes, a)[0])]
-        for _ in range(a - 1):
-            systems.append(_fm_project(systems[-1]))
-        systems.reverse()  # systems[j-1] constrains the first j coordinates
-        result = _enumerate_count(systems, a)
-    _count_cache[key] = result
-    return result
+        return max(vals) - min(vals) + 1
+    extremes = _extreme_points(reduced, a)
+    systems: list[list[tuple[Vec, int]]] = [list(_dd(extremes, a)[0])]
+    for _ in range(a - 1):
+        systems.append(_fm_project(systems[-1]))
+    systems.reverse()  # systems[j-1] constrains the first j coordinates
+    return _enumerate_count(systems, a)
 
 
 def _enumerate_count(systems: list[list[tuple[Vec, int]]], a: int) -> int:
@@ -325,7 +281,7 @@ def _enumerate_count(systems: list[list[tuple[Vec, int]]], a: int) -> int:
 def lattice_point_volume_oracle(
     P: LatticePolytope, frame: LatticeFrame
 ) -> Fraction:
-    """Volume via Ehrhart-style counting, independent of triangulation.
+    """Volume via Ehrhart-style counting, independent of the facet pyramids.
 
     Counts lattice points of the dilates tP for t = 0..l, takes the l-th
     finite difference to extract the leading coefficient of the counting

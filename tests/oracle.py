@@ -6,7 +6,9 @@ rank test for vertices is the reference for the mask-based vertex test
 in newtonzeta.polytope.  The composition expansion of the q-exponents
 and the inclusion-exclusion over all 2^l Minkowski subset sums are the
 references for the dilation sums in newtonzeta.volumes and
-newtonzeta.qforms.
+newtonzeta.qforms.  ``_abs_det`` is not a reference but a reading of
+the column reduction: the tests compare its pivot gcds with the Leibniz
+determinant and with a residue count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from newtonzeta import (
@@ -22,6 +25,7 @@ from newtonzeta import (
     lattice_volume,
     minkowski_sum,
 )
+from newtonzeta.lattice import _column_reduce
 
 
 def _solve_in_basis(
@@ -78,6 +82,12 @@ def _rank(rows: Sequence[tuple[int, ...]]) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def _abs_det(rows: Sequence[tuple[int, ...]]) -> int:
+    """|det| of a square integer matrix: the product of the pivot gcds."""
+    pivots, _ = _column_reduce(rows, len(rows))
+    return prod(g for _, _, g in pivots) if len(pivots) == len(rows) else 0
 
 
 def _vertices_by_rank(

@@ -134,10 +134,16 @@ def test_oversized_expansion_is_input_error(tmp_path, capsys):
 
 
 def test_schema_error_has_field_path(tmp_path, capsys):
-    path = write_job(tmp_path, {"n": 2, "constraints": [{"support": [[0]]}]})
-    code, out, err = run_cli(capsys, ["deform-origin", path])
-    assert code == 2
-    assert "constraints[0]" in err
+    cases = [
+        ({"n": 2, "constraints": [{"support": [[0]]}]}, "deform-origin", "constraints[0]"),
+        ({"n": True, "constraints": []}, "info", "n:"),
+        ({"n": True, "constraints": []}, "polyzeta", "n:"),
+    ]
+    for job, task, field in cases:
+        path = write_job(tmp_path, job)
+        code, out, err = run_cli(capsys, [task, path])
+        assert code == 2, (job, task)
+        assert field in err, (job, task)
 
 
 def test_task_conflict_is_input_error(tmp_path, capsys):

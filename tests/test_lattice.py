@@ -16,8 +16,8 @@ from newtonzeta import (
     saturated_basis,
     to_frame_coords,
 )
-from newtonzeta.lattice import _abs_det, _column_reduce, _int_kernel, _rank
-from tests.oracle import _solve_in_basis
+from newtonzeta.lattice import _column_reduce, _int_kernel, _rank
+from tests.oracle import _abs_det, _solve_in_basis
 
 
 def test_point_and_covector_are_distinct_types():

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
 from newtonzeta import (
     IntPoint,
     LatticeFrame,
+    dim,
     hull,
     lattice_point_volume_oracle,
     lattice_volume,
@@ -178,3 +180,67 @@ def test_mixed_volume_validates_arity():
     frame = LatticeFrame.standard(2)
     with pytest.raises(ValueError, match="frame rank"):
         mixed_volume_of([P((0, 0))], frame)
+
+
+def _frame_body(rng, frame, npts):
+    """Hull of npts random points of [0, 2]^l in frame coordinates, shifted."""
+    n = frame.ambient_dim
+    shift = tuple(rng.randint(-3, 3) for _ in range(n))
+    pts = set()
+    while len(pts) < npts:
+        x = [rng.randint(0, 2) for _ in frame.basis]
+        pts.add(tuple(s + sum(xj * b.coords[i] for xj, b in zip(x, frame.basis))
+                      for i, s in enumerate(shift)))
+    return hull([IntPoint(p) for p in pts])
+
+
+def _placed(rng, pts):
+    """Hull of pts under a random unimodular map and translation."""
+    d = len(pts[0])
+    U = _random_unimodular(rng, d) if d > 1 else [[1]]
+    shift = tuple(rng.randint(-4, 4) for _ in range(d))
+    return hull([IntPoint(tuple(s + sum(U[r][c] * p[c] for c in range(d))
+                                for r, s in enumerate(shift)))
+                 for p in pts])
+
+
+def test_pyramid_volumes_match_counting_and_closed_forms():
+    rng = random.Random(77)
+    # non-simplicial full-dimensional bodies in Z^d, d <= 4
+    checked = 0
+    while checked < 16:
+        d = 2 + checked % 3
+        frame = LatticeFrame.standard(d)
+        Q = _frame_body(rng, frame, rng.randint(d + 2, d + 4))
+        if len(Q.vertices) <= d + 1 or dim(Q) < d:
+            continue
+        assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame)
+        checked += 1
+    # rank-l frames inside Z^(l+1)
+    for l in (1, 2, 2, 3, 3, 3):
+        while True:
+            dirs = [IntPoint(tuple(rng.randint(-2, 2) for _ in range(l + 1)))
+                    for _ in range(l)]
+            frame = LatticeFrame.span_of(dirs, l + 1)
+            if frame.rank == l:
+                break
+        Q = _frame_body(rng, frame, rng.randint(l + 1, l + 3))
+        assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame)
+    # bodies in a hyperplane have volume 0
+    for d in (1, 2, 3, 4):
+        frame = LatticeFrame.standard(d)
+        flat = [tuple(rng.randint(0, 2) for _ in range(d - 1)) + (0,)
+                for _ in range(d + 1)]
+        Q = _placed(rng, flat)
+        assert lattice_volume(Q, frame) == 0
+        assert lattice_point_volume_oracle(Q, frame) == 0
+    # d = 5: boxes and dilated simplices, where counting is too slow
+    frame = LatticeFrame.standard(5)
+    for _ in range(4):
+        sides = [rng.randint(1, 3) for _ in range(5)]
+        box = [tuple(s * bit for s, bit in zip(sides, bits))
+               for bits in product((0, 1), repeat=5)]
+        assert lattice_volume(_placed(rng, box), frame) == prod(sides)
+        a = rng.randint(1, 3)
+        simplex = [(0,) * 5] + [tuple(a * (i == j) for j in range(5)) for i in range(5)]
+        assert lattice_volume(_placed(rng, simplex), frame) == Fraction(a ** 5, factorial(5))
