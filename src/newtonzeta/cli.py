@@ -121,8 +121,13 @@ class Job:
 
         options = data.get("options", {})
         _expect(isinstance(options, dict), "options", "expected an object")
-        self.trace = bool(options.get("trace", False)) or overrides.trace
-        self.assume = bool(options.get("assume_nondegenerate", False))
+        trace = options.get("trace", False)
+        assume = options.get("assume_nondegenerate", False)
+        _expect(isinstance(trace, bool), "options.trace", "expected true or false")
+        _expect(isinstance(assume, bool), "options.assume_nondegenerate",
+                "expected true or false")
+        self.trace = trace or overrides.trace
+        self.assume = assume
         deform_var = overrides.deform_var or options.get("deform_var")
 
         scope = overrides.scope or data.get("scope", "affine")

@@ -25,18 +25,23 @@ and the sum is l! MV(F_1, ..., F_l).
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the same volumes for cross-validation.
 
-All caches are plain dicts keyed by canonical immutable values.
+The memos are ``functools.lru_cache`` on canonical tuples, each bounded
+by ``polytope._MEMO_SIZE``.  ``_volume_of_points`` tests the rank once;
+the recursion below it does not, because a facet of a full-rank body is
+full rank in its own hyperplane lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
 from .lattice import LatticeFrame, _coords_in, _rank
 from .polytope import (
+    _MEMO_SIZE,
     LatticePolytope,
     Vec,
     _affine_reduce,
@@ -81,25 +86,23 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(_sub(p, base) for p in uniq)
 
 
-_vol_cache: dict[tuple[Vec, ...], int] = {}
-
-
 def _volume_of_points(pts: Sequence[Vec], l: int) -> int:
-    """l! Vol_l(conv pts) for extreme pts in Z^l, a pyramid sum over facets."""
+    """l! Vol_l(conv pts) for extreme pts in Z^l; 0 below full rank."""
+    extremes = _canonical_pts(pts)
+    return _pyramid_sum(extremes, l) if _rank(extremes[1:]) == l else 0
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pyramid_sum(extremes: tuple[Vec, ...], l: int) -> int:
+    """l! Vol_l of full-rank canonical extremes, summed over the facets."""
     if l == 0:
         return 1
-    extremes = _canonical_pts(pts)
-    cached = _vol_cache.get(extremes)
-    if cached is not None:
-        return cached
     vol = 0
-    if _rank(extremes[1:]) == l:
-        # extremes[0] is the origin, at lattice distance -b from a facet
-        for (_, b), tset in zip(*_dd(extremes, l)):
-            if b:
-                base = [extremes[i] for i in sorted(tset)]
-                vol -= b * _volume_of_points(_affine_reduce(base, l), l - 1)
-    _vol_cache[extremes] = vol
+    # extremes[0] is the origin, at lattice distance -b from a facet
+    for (_, b), tset in zip(*_dd(extremes, l)):
+        if b:
+            base = [extremes[i] for i in sorted(tset)]
+            vol -= b * _pyramid_sum(_canonical_pts(_affine_reduce(base, l)), l - 1)
     return vol
 
 
@@ -129,25 +132,27 @@ def _dilation_terms(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
             yield b, (-1) ** (size + k) * comb(l + k - 1 - zeros, size + k - 1)
 
 
-_dilation_cache: dict[tuple[tuple[Vec, ...], ...], int] = {}
-
-
 def _dilation_sum(
     polytopes: Sequence[LatticePolytope], frame: LatticeFrame
 ) -> int:
     """Sum of c(b) Vol_l(b_1 F_1 + ... + b_k F_k) for k nonempty bodies.
 
-    The memo, keyed by the sorted canonical frame point sets, is looked up
-    before any term is built; each dilated sum is built once, from the
-    sum for the prefix of b, which lexicographic order has already made.
+    The memo is keyed by the sorted canonical frame point sets, so it is
+    looked up before any term is built.
     """
     bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
                           for P in polytopes))
-    cached = _dilation_cache.get(bodies)
-    if cached is not None:
-        return cached
-    l = frame.rank
-    sums: dict[tuple[int, ...], list[Vec]] = {(): [(0,) * l]}
+    return _dilation_sum_of(bodies, frame.rank)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
+    """The dilation sum of canonical bodies in Z^l.
+
+    Each dilated sum is built once, from the sum for the prefix of b,
+    which lexicographic order has already made.
+    """
+    sums: dict[tuple[int, ...], Sequence[Vec]] = {(): [(0,) * l]}
     total = 0
     for b, c in _dilation_terms(len(bodies), l):
         pts = sums[()]
@@ -164,7 +169,6 @@ def _dilation_sum(
         total += c * _volume_of_points(pts, l)
     result, rem = divmod(total, factorial(l))
     assert rem == 0, "dilation sum failed to be integral"
-    _dilation_cache[bodies] = result
     return result
 
 

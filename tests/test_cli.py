@@ -138,6 +138,10 @@ def test_schema_error_has_field_path(tmp_path, capsys):
         ({"n": 2, "constraints": [{"support": [[0]]}]}, "deform-origin", "constraints[0]"),
         ({"n": True, "constraints": []}, "info", "n:"),
         ({"n": True, "constraints": []}, "polyzeta", "n:"),
+        ({**PAPER_JOB, "options": {"assume_nondegenerate": "false"}},
+         "deform-origin", "options.assume_nondegenerate:"),
+        ({**PAPER_JOB, "options": {"assume_nondegenerate": True, "trace": "no"}},
+         "deform-origin", "options.trace:"),
     ]
     for job, task, field in cases:
         path = write_job(tmp_path, job)

@@ -278,12 +278,12 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         dims.add((n, d))
         if d == 0:
             continue
-        facets, tights = _dd(reduced, d)
+        facets, tights = _dd(tuple(reduced), d)
         for (a, b), tset in zip(facets, tights):
             values = [sum(x * y for x, y in zip(a, p)) for p in reduced]
             assert min(values) == b
             assert tset == {i for i, v in enumerate(values) if v == b}
         want = [uniq[i] for i in _vertices_by_rank(reduced, facets)]
-        assert _extreme_points(uniq, n) == want
+        assert _extreme_points(uniq, n) == tuple(want)
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
