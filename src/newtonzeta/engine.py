@@ -22,12 +22,11 @@ from .lattice import (
     orthogonal_line_generators,
 )
 from .polytope import (
-    FaceRecord,
     LatticePolytope,
     dim,
     face,
     facet_normals,
-    hull,
+    hull,  # not called here; perfbench's tracer test reads engine.hull
     minkowski_sum,
     support_min,
 )
@@ -131,7 +130,7 @@ def candidate_covectors(
     polytopes: Sequence[LatticePolytope],
     index_set: Iterable[int],
     ambient_dim: int,
-) -> list[tuple[Covector, FaceRecord]]:
+) -> list[Covector]:
     """All primitive covectors that can carry a nonzero stratum factor.
 
     Let l = |I| - 1 and P the Minkowski sum of the given polytopes inside
@@ -148,8 +147,7 @@ def candidate_covectors(
       two opposite generators of the line of covectors constant on it.
 
     When P has dimension below l no covector qualifies.  The returned
-    list is therefore finite and complete; each covector comes with the
-    face record of P it cuts.
+    list is therefore finite and complete.
     """
     idx = sorted(set(index_set))
     if not idx:
@@ -172,8 +170,11 @@ def candidate_covectors(
     if total is None:
         total = LatticePolytope.point(IntPoint((0,) * ambient_dim))
 
-    reduced = hull(
-        [IntPoint(tuple(v.coords[i] for i in idx)) for v in total.vertices]
+    # P lies in the subspace of I, so dropping the other coordinates is a
+    # lattice bijection and keeps the vertex set
+    reduced = LatticePolytope(
+        tuple(IntPoint(tuple(v.coords[i] for i in idx)) for v in total.vertices),
+        len(idx),
     )
     d = dim(reduced)
 
@@ -195,7 +196,7 @@ def candidate_covectors(
         alphas = []
 
     alphas.sort(key=lambda a: a.comps)
-    return [(a, face(total, a)) for a in alphas]
+    return alphas
 
 
 def _stratum_frame(
@@ -230,19 +231,14 @@ def _subspace_frame(index_set: frozenset[int], ambient_dim: int) -> LatticeFrame
 # deformation strata
 # ---------------------------------------------------------------------------
 
-# a stratum's factors {m: exponent} and the traces that produced them
-_StratumResult = tuple[dict[int, int], list[ContributionTrace]]
-
-
 def _deformation_stratum(
     rs: RestrictedSystem, sign: int
-) -> _StratumResult:
+) -> list[ContributionTrace]:
     idx = rs.index_set
     n = rs.n
     l = len(idx) - 1
-    factors: dict[int, int] = {}
     traces: list[ContributionTrace] = []
-    for alpha, _sumface in candidate_covectors(rs.polytopes, idx, n):
+    for alpha in candidate_covectors(rs.polytopes, idx, n):
         a_last = alpha.comps[n - 1]
         if sign * a_last <= 0:
             continue
@@ -252,7 +248,6 @@ def _deformation_stratum(
         e = q_exponent(l, faces, frame)
         if e == 0:
             continue
-        factors[m] = factors.get(m, 0) + e
         traces.append(ContributionTrace(
             index_set=idx,
             alpha=alpha,
@@ -260,7 +255,7 @@ def _deformation_stratum(
             exponent=e,
             face_dims=tuple(dim(f) for f in faces),
         ))
-    return factors, traces
+    return traces
 
 
 def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[int]]:
@@ -281,17 +276,16 @@ def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[i
 def _over_strata(
     spec: SystemSpec,
     scope: str,
-    stratum: Callable[[RestrictedSystem], _StratumResult],
+    stratum: Callable[[RestrictedSystem], list[ContributionTrace]],
     must_contain_last: bool,
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
-    """Product of the stratum factors, with their traces in stratum order."""
-    total: dict[int, int] = {}
+    """The product of all traces' factors, with the traces in stratum order."""
     traces: list[ContributionTrace] = []
     for idx in _strata_for(spec.n, scope, must_contain_last):
-        factors, stratum_traces = stratum(restrict_system(spec, idx))
-        for m, e in factors.items():
-            total[m] = total.get(m, 0) + e
-        traces.extend(stratum_traces)
+        traces.extend(stratum(restrict_system(spec, idx)))
+    total: dict[int, int] = {}
+    for t in traces:
+        total[t.m] = total.get(t.m, 0) + t.exponent
     return ZetaProduct.from_exponents(total), traces
 
 
@@ -324,15 +318,14 @@ def zeta_deformation(
 
 def _polynomial_stratum(
     rs: RestrictedSystem,
-) -> _StratumResult:
+) -> list[ContributionTrace]:
     idx = rs.index_set
     n = rs.n
     l = len(idx) - 1
     obj = rs.objective_restriction
     assert obj is not None, "polynomial stratum needs an objective restriction"
     if obj.is_empty:
-        return {}, []
-    factors: dict[int, int] = {}
+        return []
     traces: list[ContributionTrace] = []
 
     # Boundary factor of the stratum: the covector constant on the whole
@@ -344,7 +337,6 @@ def _polynomial_stratum(
     bodies = [obj, *rs.polytopes]
     e0 = q_exponent(len(idx), bodies, _subspace_frame(idx, n))
     if e0 != 0:
-        factors[1] = e0
         traces.append(ContributionTrace(
             index_set=idx,
             alpha=None,
@@ -353,7 +345,7 @@ def _polynomial_stratum(
             face_dims=tuple(dim(b) for b in bodies),
         ))
 
-    for alpha, _sumface in candidate_covectors(bodies, idx, n):
+    for alpha in candidate_covectors(bodies, idx, n):
         m0 = support_min(obj, alpha)
         if m0 <= 0:
             continue
@@ -363,7 +355,6 @@ def _polynomial_stratum(
         e = q_tilde_exponent(l, f0, faces, frame)
         if e == 0:
             continue
-        factors[m0] = factors.get(m0, 0) + e
         traces.append(ContributionTrace(
             index_set=idx,
             alpha=alpha,
@@ -371,7 +362,7 @@ def _polynomial_stratum(
             exponent=e,
             face_dims=tuple(dim(f) for f in [f0, *faces]),
         ))
-    return factors, traces
+    return traces
 
 
 def zeta_polynomial(

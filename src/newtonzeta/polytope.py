@@ -149,8 +149,6 @@ def _affine_reduce(pts: Sequence[Vec], n: int) -> list[Vec]:
     if not normals:
         return diffs
     basis = _int_kernel(normals, n)
-    if not basis:
-        return [() for _ in pts]
     inverse = _right_inverse(basis, n)
     reduced = []
     for delta in diffs:

@@ -141,6 +141,10 @@ _MAX_TERM_PAIRS = 10**5
 _MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10**_MAX_COEFF_DIGITS
 
+# each level of parentheses takes four frames of the recursive descent,
+# so this depth stays well inside Python's default recursion limit of 1000
+_MAX_NESTING = 100
+
 
 def _check_coefficients(terms: _Terms, at: int) -> None:
     if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
@@ -163,6 +167,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = list(variables)
         self.var_index = {v: i for i, v in enumerate(variables)}
         self.n = len(self.variables)
@@ -265,8 +270,12 @@ class _Parser:
             exps = tuple(1 if i == idx else 0 for i in range(self.n))
             return {exps: Fraction(1)}, False
         if kind == "OP" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+            self.depth += 1
             value = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return value, False
         raise ParseError(f"unexpected {val or kind!r}", at)
 

@@ -5,11 +5,15 @@ so the fundamental lattice cell has volume one.  ``_volume_of_points``
 returns the integer l! Vol_l as a sum of lattice pyramids over the
 facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
 a.x >= b with primitive a adds the lattice distance a.v0 - b times the
-(l-1)! Vol_{l-1} of the facet in a saturated basis of its own hyperplane
-lattice, because that lattice's cell has Euclidean volume |a|.  Facets
-through v0 have height zero and are skipped.  Mixed volumes and the
-q-exponents of ``qforms`` are one dilation sum over k bodies F_i in an
-l-frame, evaluated by ``_dilation_sum``:
+(l-1)! Vol_{l-1} of the facet in its own hyperplane lattice.  Facets
+through v0 have height zero and are skipped.  The facet is measured
+after deleting a coordinate j with a_j != 0, the smallest |a_j|: that
+projection is injective on the hyperplane and maps its lattice onto
+{y in Z^(l-1) : sum_{i!=j} a_i y_i = 0 mod a_j}, of index |a_j| since
+gcd(a) = 1, so the projected facet's (l-1)! Vol_{l-1} is divided by
+|a_j|.  Mixed volumes and the q-exponents of ``qforms`` are one
+dilation sum over k bodies F_i in an l-frame, evaluated by
+``_dilation_sum``:
 
     sum_b c(b) Vol_l(b_1 F_1 + ... + b_k F_k),
     c(b) = (-1)^(|b|+k) C(l+k-1-z(b), |b|+k-1),
@@ -27,8 +31,8 @@ independent route to the same volumes for cross-validation.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  ``_volume_of_points`` tests the rank once;
-the recursion below it does not, because a facet of a full-rank body is
-full rank in its own hyperplane lattice.
+the recursion below it does not, because a facet of a full-rank body
+projects to a full-rank body.
 """
 
 from __future__ import annotations
@@ -99,10 +103,13 @@ def _pyramid_sum(extremes: tuple[Vec, ...], l: int) -> int:
         return 1
     vol = 0
     # extremes[0] is the origin, at lattice distance -b from a facet
-    for (_, b), tset in zip(*_dd(extremes, l)):
+    for (a, b), tset in zip(*_dd(extremes, l)):
         if b:
-            base = [extremes[i] for i in sorted(tset)]
-            vol -= b * _pyramid_sum(_canonical_pts(_affine_reduce(base, l)), l - 1)
+            j = min((i for i, c in enumerate(a) if c), key=lambda i: abs(a[i]))
+            facet = [extremes[i][:j] + extremes[i][j + 1:] for i in tset]
+            sub, rem = divmod(_pyramid_sum(_canonical_pts(facet), l - 1), abs(a[j]))
+            assert rem == 0, "facet projection failed to be integral"
+            vol -= b * sub
     return vol
 
 

@@ -219,7 +219,7 @@ def test_enumeration_completeness():
             if obj is None or obj.is_empty:
                 continue
             bodies = [obj, *rs.polytopes]
-            allowed = {a.comps for a, _ in candidate_covectors(bodies, idx, spec.n)}
+            allowed = {a.comps for a in candidate_covectors(bodies, idx, spec.n)}
             l = len(idx) - 1
             for alpha in _primitive_covectors_on(idx, spec.n, bound):
                 scanned += 1
@@ -236,7 +236,7 @@ def test_enumeration_completeness():
         for idx in _strata_for(spec.n, "affine", must_contain_last=True):
             rs = restrict_system(spec, idx)
             allowed = {
-                a.comps for a, _ in candidate_covectors(rs.polytopes, idx, spec.n)
+                a.comps for a in candidate_covectors(rs.polytopes, idx, spec.n)
             }
             l = len(idx) - 1
             for alpha in _primitive_covectors_on(idx, spec.n, bound):

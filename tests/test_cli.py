@@ -94,10 +94,11 @@ def test_info_task(tmp_path, capsys):
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
-    path = write_job(tmp_path, {"n": 1, "constraints": ["z1 +"]})
-    code, out, err = run_cli(capsys, ["deform-origin", path])
-    assert code == 2
-    assert "position" in err
+    for text in ("z1 +", "(" * 400 + "z1" + ")" * 400):
+        path = write_job(tmp_path, {"n": 1, "constraints": [text]})
+        code, out, err = run_cli(capsys, ["deform-origin", path])
+        assert code == 2, text[:10]
+        assert "position" in err
 
 
 def test_oversized_literals_are_input_errors(tmp_path, capsys):
@@ -142,12 +143,27 @@ def test_schema_error_has_field_path(tmp_path, capsys):
          "deform-origin", "options.assume_nondegenerate:"),
         ({**PAPER_JOB, "options": {"assume_nondegenerate": True, "trace": "no"}},
          "deform-origin", "options.trace:"),
+        ({"n": 17, "constraints": []}, "deform-origin", "n:"),
     ]
     for job, task, field in cases:
         path = write_job(tmp_path, job)
         code, out, err = run_cli(capsys, [task, path])
         assert code == 2, (job, task)
         assert field in err, (job, task)
+
+
+def test_malformed_documents_are_input_errors(tmp_path, capsys):
+    # nesting past the JSON decoder's recursion, bytes that are not UTF-8,
+    # and an integer past Python's 4300-digit int() limit
+    path = tmp_path / "job.json"
+    deep = b"[" * 10**5 + b"]" * 10**5
+    huge = b'{"n": 1' + b"0" * 5000 + b"}"
+    for raw in (deep, b'{"n": 1, "constraints": ["\xff\xfe"]}', huge):
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, ["info", str(path)])
+        assert code == 2, raw[:10]
+        assert "error: invalid JSON" in err
+        assert out == ""
 
 
 def test_task_conflict_is_input_error(tmp_path, capsys):

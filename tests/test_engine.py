@@ -62,18 +62,18 @@ def test_zeta_product_rejects_bad_factors():
 def test_candidates_for_segment_are_the_orthogonal_pair():
     seg = P((0, 0), (1, 1))
     cands = candidate_covectors([seg], {0, 1}, 2)
-    assert {a.comps for a, _ in cands} == {(1, -1), (-1, 1)}
+    assert {a.comps for a in cands} == {(1, -1), (-1, 1)}
 
 
 def test_candidates_for_full_polytope_are_facet_normals():
     tri = P((1, 0), (0, 1), (2, 1))
     cands = candidate_covectors([tri], {0, 1}, 2)
-    assert {a.comps for a, _ in cands} == {(1, 1), (0, -1), (-1, 1)}
+    assert {a.comps for a in cands} == {(1, 1), (0, -1), (-1, 1)}
 
 
 def test_candidates_for_empty_list_is_origin_pair():
     cands = candidate_covectors([], {1}, 2)
-    assert {a.comps for a, _ in cands} == {(0, 1), (0, -1)}
+    assert {a.comps for a in cands} == {(0, 1), (0, -1)}
 
 
 def test_candidates_empty_when_sum_is_too_small():
@@ -90,7 +90,7 @@ def test_candidates_reject_polytopes_outside_subspace():
 def test_candidates_are_primitive_and_sorted():
     sq = P((0, 0), (2, 0), (0, 2), (2, 2))
     cands = candidate_covectors([sq], {0, 1}, 2)
-    comps = [a.comps for a, _ in cands]
+    comps = [a.comps for a in cands]
     assert comps == sorted(comps)
     assert all(Covector(c).is_primitive() for c in comps)
 
@@ -169,8 +169,9 @@ def test_affine_equals_product_of_strata():
     assert set(factors) <= {frozenset({1}), frozenset({0, 1})}
     pieces = ZetaProduct.one()
     for idx in [{1}, {0, 1}]:
-        exps, _ = _deformation_stratum(restrict_system(spec, idx), +1)
-        piece = ZetaProduct.from_exponents(exps)
+        piece = ZetaProduct.one()
+        for t in _deformation_stratum(restrict_system(spec, idx), +1):
+            piece = piece * ZetaProduct(((t.m, t.exponent),))
         assert factors.get(frozenset(idx), ZetaProduct.one()) == piece
         pieces = pieces * piece
     assert total == pieces

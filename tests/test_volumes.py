@@ -17,6 +17,7 @@ from newtonzeta import (
     minkowski_sum,
     mixed_volume_of,
 )
+from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _count_lattice_points
 from tests.conftest import random_polytope
 
@@ -244,3 +245,10 @@ def test_pyramid_volumes_match_counting_and_closed_forms():
         a = rng.randint(1, 3)
         simplex = [(0,) * 5] + [tuple(a * (i == j) for j in range(5)) for i in range(5)]
         assert lattice_volume(_placed(rng, simplex), frame) == Fraction(a ** 5, factorial(5))
+    # the facet (-2,-3).x >= -6 misses the origin and its normal has no
+    # entry +-1: its projection measures the facet in a sublattice of index 2
+    tri = ((0, 0), (0, 2), (3, 0))
+    assert ((-2, -3), -6) in _dd(tri, 2)[0]
+    Q = P(*tri)
+    frame = LatticeFrame.standard(2)
+    assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame) == 3
