@@ -2,8 +2,8 @@
 
 Everything is arbitrary-precision integer arithmetic; no floating point
 enters at any stage.  The one elimination is a unimodular column
-reduction of an integer matrix: ranks, saturated kernels
-and spans, frame coordinates and primitive line normals all read off it.
+reduction of an integer matrix: ranks, kernels, spans and line normals
+read off it, and inverses (frame coordinates) after one substitution.
 
 Points and covectors are deliberately distinct types even though both
 wrap integer vectors: the only pairing the code ever performs is
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -101,10 +102,7 @@ class Covector:
         return not any(self.comps)
 
     def is_primitive(self) -> bool:
-        g = 0
-        for c in self.comps:
-            g = gcd(g, c)
-        return g == 1
+        return gcd(*self.comps) == 1
 
     def __neg__(self) -> "Covector":
         return Covector(tuple(-c for c in self.comps))
@@ -116,6 +114,10 @@ class Covector:
 # ---------------------------------------------------------------------------
 # raw integer matrix helpers (tuples in, tuples out)
 # ---------------------------------------------------------------------------
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
@@ -149,12 +151,12 @@ def _column_reduce(
     {x in Z^n : r.x = 0 for every row r}, saturated because all the
     column steps are unimodular.
     """
-    cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    cols = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
     pivots: list[tuple[int, tuple[int, ...], int]] = []
     for index, row in enumerate(rows):
         if not cols:
             break
-        vals = [sum(r * c for r, c in zip(row, col)) for col in cols]
+        vals = [sum(map(mul, row, col)) for col in cols]
         pivot = None
         for j, v in enumerate(vals):
             if v == 0:
@@ -164,10 +166,10 @@ def _column_reduce(
                 continue
             a, b = vals[pivot], v
             g, x, y = _xgcd(a, b)
+            u, v = -b // g, a // g
             cp, cj = cols[pivot], cols[j]
-            new_p = tuple(x * p + y * q for p, q in zip(cp, cj))
-            new_j = tuple((-b // g) * p + (a // g) * q for p, q in zip(cp, cj))
-            cols[pivot], cols[j] = new_p, new_j
+            cols[pivot] = tuple([x * p + y * q for p, q in zip(cp, cj)])
+            cols[j] = tuple([u * p + v * q for p, q in zip(cp, cj)])
             vals[pivot], vals[j] = g, 0
         if pivot is not None:
             col = cols.pop(pivot)
@@ -187,31 +189,50 @@ def _rank(rows: Sequence[tuple[int, ...]]) -> int:
     return len(_column_reduce(rows, len(rows[0]) if rows else 0)[0])
 
 
+def _triangular_inverse(
+    rows: Sequence[tuple[int, ...]],
+    pivots: Sequence[tuple[int, tuple[int, ...], int]],
+) -> list[tuple[tuple[int, ...], int]]:
+    """Primitive columns c_j and d_j > 0 with rows[k] . c_j == d_j * (k == j).
+
+    ``pivots`` reduce the independent ``rows``, one each, so the rows times
+    the pivot columns C are lower triangular with the gcds g_k on the
+    diagonal.  c_j is the primitive part of C y, where y_j = 1 and forward
+    substitution sets y_k = -s / g_k from the partial sum s of row k,
+    after scaling y by g_k / gcd(s, g_k) when g_k does not divide s.
+    """
+    cols = [col for _, col, _ in pivots]
+    low = [[_dot(row, col) for col in cols[:k]] for k, row in enumerate(rows)]
+    out = []
+    for j, (_, _, g_j) in enumerate(pivots):
+        y = [1]
+        for k in range(j + 1, len(rows)):
+            s, g = _dot(low[k][j:], y), pivots[k][2]
+            f = g // gcd(s, g)  # 1 when g divides s
+            y = [f * v for v in y] + [-s * f // g]
+        c = [_dot(y, coords) for coords in zip(*cols[j:])]
+        h = gcd(*c)
+        out.append((tuple(x // h for x in c), g_j * y[0] // h))
+    return out
+
+
 def _right_inverse(
     rows: Sequence[tuple[int, ...]], n: int
 ) -> tuple[tuple[int, ...], ...]:
     """Integer columns c_j with rows[k] . c_j == (1 if k == j else 0).
 
-    They exist exactly when the rows are independent and generate a
-    saturated lattice, i.e. when every row gets a pivot of gcd 1; the
-    rows times the pivot columns are then unit lower triangular, and
-    back substitution inverts that.  Raises ValueError otherwise.
+    One reduction and one substitution (``_triangular_inverse``).  They
+    exist exactly when the rows are independent and generate a saturated
+    lattice, i.e. when every d_j is 1 (every pivot gcd is 1, the pivot
+    columns being unimodular).  Raises ValueError otherwise.
     """
     pivots, _ = _column_reduce(rows, n)
     if len(pivots) < len(rows):
         raise ValueError("frame basis is linearly dependent")
-    if any(g != 1 for _, _, g in pivots):
+    inverse = _triangular_inverse(rows, pivots)
+    if any(d != 1 for _, d in inverse):
         raise ValueError("frame basis does not generate a saturated lattice")
-    inverse: list[tuple[int, ...]] = [()] * len(rows)
-    for j in reversed(range(len(rows))):
-        col = pivots[j][1]
-        c = col
-        for k in range(j + 1, len(rows)):
-            f = sum(a * b for a, b in zip(rows[k], col))
-            if f:
-                c = tuple(x - f * y for x, y in zip(c, inverse[k]))
-        inverse[j] = c
-    return tuple(inverse)
+    return tuple(c for c, _ in inverse)
 
 
 def _coords_in(
@@ -240,9 +261,7 @@ def primitive_part(v: Covector) -> Covector:
         raise TypeError("primitive_part expects a Covector")
     if v.is_zero():
         raise ValueError("zero covector")
-    g = 0
-    for c in v.comps:
-        g = gcd(g, c)
+    g = gcd(*v.comps)
     return Covector(tuple(c // g for c in v.comps))
 
 
@@ -299,11 +318,8 @@ class LatticeFrame:
 
     @classmethod
     def standard(cls, n: int) -> "LatticeFrame":
-        origin = IntPoint((0,) * n)
-        basis = tuple(
-            IntPoint(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)
-        )
-        return cls(origin, basis, n)
+        basis = tuple(IntPoint((0,) * j + (1,) + (0,) * (n - j - 1)) for j in range(n))
+        return cls(IntPoint((0,) * n), basis, n)
 
     @classmethod
     def span_of(

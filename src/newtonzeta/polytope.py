@@ -4,12 +4,13 @@ A polytope is carried by its irredundant vertex set; faces, facet
 normals and Minkowski sums are all computed from vertices with exact
 integer arithmetic.  Facets of a full-dimensional polytope are
 enumerated by a double description sweep over the dual cone of the
-homogenization, which stays exact in any ambient dimension; degenerate
-(lower-dimensional) inputs are first reduced to a saturated frame of
-their affine hull.  Facet and vertex computations are memoized on the
-sorted point tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``,
-since the same polytopes recur heavily in mixed-volume work; each memo's
-``cache_info()`` reports its size and hit rate, ``cache_clear()`` empties it.
+homogenization, which stays exact in any ambient dimension; a
+lower-dimensional input is projected onto coordinates independent on its
+affine hull to find its vertices.  Facet and vertex computations are
+memoized on the sorted point tuple by ``functools.lru_cache``, bounded
+by ``_MEMO_SIZE``, since the same polytopes recur heavily in
+mixed-volume work; each memo's ``cache_info()`` reports its size and hit
+rate, ``cache_clear()`` empties it.
 
 Incidence is bookkept rather than recomputed: each ray of the sweep
 carries the mask of processed points it is zero on, and a new ray
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul, sub
+from operator import sub
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -33,9 +34,11 @@ from .lattice import (
     IntPoint,
     _column_reduce,
     _coords_in,
+    _dot,
     _int_kernel,
     _rank,
     _right_inverse,
+    _triangular_inverse,
 )
 
 __all__ = [
@@ -66,14 +69,8 @@ def _sub(p: Vec, q: Vec) -> Vec:
     return tuple(map(sub, p, q))
 
 
-def _dot(a: Vec, b: Vec) -> int:
-    return sum(map(mul, a, b))
-
-
 def _primitive(v: Vec) -> Vec:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(c // g for c in v)
@@ -174,6 +171,11 @@ def _dd(
     by an incremental double description sweep, whose tight-set masks
     double as the facet-point incidence, saving a full rescan later.
 
+    The start rows are the pivot rows of the one reduction that tests
+    full dimension, and ``_triangular_inverse`` reads the start rays off
+    it: ray j is primitive, zero on the other start rows and positive on
+    row j, so it is their saturated kernel, as a kernel route would give.
+
     The masks are inherited, not rescanned.  A start ray is zero on every
     start row but its own.  A ray created at row t is ``vp*r_m - vm*r_p``
     with ``vp > 0 > vm``, and both parents are >= 0 on every earlier row,
@@ -185,20 +187,12 @@ def _dd(
     rows = [(1,) + p for p in pts]
 
     # greedy maximal independent subset for the initial simplicial cone
-    init_idx = [i for i, _col, _g in _column_reduce(rows, w)[0]]
-    assert len(init_idx) == w, "points are not full-dimensional"
+    pivots = _column_reduce(rows, w)[0]
+    assert len(pivots) == w, "points are not full-dimensional"
+    init_idx = [i for i, _col, _g in pivots]
 
     order = init_idx + [i for i in range(len(rows)) if i not in set(init_idx)]
-    mat = [rows[i] for i in init_idx]
-
-    # rays of the initial cone: ray j spans the (saturated, so primitive)
-    # kernel of the other w - 1 rows, oriented positive on row j
-    rays: list[Vec] = []
-    for j in range(w):
-        (ray,) = _int_kernel(mat[:j] + mat[j + 1:], w)
-        if _dot(mat[j], ray) < 0:
-            ray = tuple(-c for c in ray)
-        rays.append(ray)
+    rays = [r for r, _d in _triangular_inverse([rows[i] for i in init_idx], pivots)]
 
     # ray j is zero exactly on the start rows other than j
     full = (1 << w) - 1
@@ -264,11 +258,20 @@ def _extreme_points(pts: Sequence[Vec], n: int) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _extreme_points_of(uniq: tuple[Vec, ...], n: int) -> tuple[Vec, ...]:
-    """Vertices of conv(uniq) for two or more sorted distinct points."""
-    reduced = _affine_reduce(uniq, n)
+    """Vertices of conv(uniq) for two or more sorted distinct points.
+
+    Below full rank the DD sees only coordinates independent on the span
+    of p - uniq[0]; injective there, that projection keeps the vertices.
+    """
+    diffs = [_sub(p, uniq[0]) for p in uniq]
+    pivots, normals = _column_reduce(diffs, n)
+    if normals:
+        basis = [diffs[i] for i, _col, _g in pivots]
+        keep = [j for j, _col, _g in _column_reduce(list(zip(*basis)), len(basis))[0]]
+        diffs = [tuple(p[j] for j in keep) for p in diffs]
     # AND of the tight masks of the facets through each point
     common = [-1] * len(uniq)
-    for tset in _dd(tuple(reduced), len(reduced[0]))[1]:
+    for tset in _dd(tuple(diffs), len(diffs[0]))[1]:
         m = sum(1 << i for i in tset)
         for pi in tset:
             common[pi] &= m

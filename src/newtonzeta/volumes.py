@@ -1,7 +1,7 @@
 """Lattice-normalized volumes and mixed volumes of lattice polytopes.
 
 Volumes are measured in a saturated frame of a rational affine subspace,
-so the fundamental lattice cell has volume one.  ``_volume_of_points``
+so the fundamental lattice cell has volume one.  ``_pyramid_sum``
 returns the integer l! Vol_l as a sum of lattice pyramids over the
 facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
 a.x >= b with primitive a adds the lattice distance a.v0 - b times the
@@ -30,9 +30,9 @@ A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the same volumes for cross-validation.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
-by ``polytope._MEMO_SIZE``.  ``_volume_of_points`` tests the rank once;
-the recursion below it does not, because a facet of a full-rank body
-projects to a full-rank body.
+by ``polytope._MEMO_SIZE``.  ``lattice_volume`` tests the rank once, and
+``_dilation_sum_of`` once per support of b; the recursion below does
+not, because a facet of a full-rank body projects to a full-rank body.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(_sub(p, base) for p in uniq)
 
 
-def _volume_of_points(pts: Sequence[Vec], l: int) -> int:
-    """l! Vol_l(conv pts) for extreme pts in Z^l; 0 below full rank."""
-    extremes = _canonical_pts(pts)
-    return _pyramid_sum(extremes, l) if _rank(extremes[1:]) == l else 0
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _pyramid_sum(extremes: tuple[Vec, ...], l: int) -> int:
     """l! Vol_l of full-rank canonical extremes, summed over the facets."""
@@ -126,7 +120,9 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     if P.is_empty:
         raise ValueError("volume of empty polytope")
     l = frame.rank
-    return Fraction(_volume_of_points(_reduce_to_frame(P, frame), l), factorial(l))
+    extremes = _canonical_pts(_reduce_to_frame(P, frame))
+    vol = _pyramid_sum(extremes, l) if _rank(extremes[1:]) == l else 0
+    return Fraction(vol, factorial(l))
 
 
 def _dilation_terms(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -156,12 +152,19 @@ def _dilation_sum(
 def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     """The dilation sum of canonical bodies in Z^l.
 
-    Each dilated sum is built once, from the sum for the prefix of b,
-    which lexicographic order has already made.
+    Vol_l(b.F) is 0 unless the bodies with b_i > 0 (each holds the origin)
+    span Q^l: one rank test per support.  Each dilated sum that is needed
+    is built once, from the sum for the prefix of b.
     """
     sums: dict[tuple[int, ...], Sequence[Vec]] = {(): [(0,) * l]}
+    full: dict[tuple[int, ...], bool] = {}
     total = 0
     for b, c in _dilation_terms(len(bodies), l):
+        support = tuple(i for i, t in enumerate(b) if t)
+        if support not in full:
+            full[support] = _rank([p for i in support for p in bodies[i]]) == l
+        if not full[support]:
+            continue
         pts = sums[()]
         for j, t in enumerate(b):
             nxt = sums.get(b[: j + 1])
@@ -173,7 +176,7 @@ def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
                 )
                 sums[b[: j + 1]] = nxt
             pts = nxt
-        total += c * _volume_of_points(pts, l)
+        total += c * _pyramid_sum(_canonical_pts(pts), l)
     result, rem = divmod(total, factorial(l))
     assert rem == 0, "dilation sum failed to be integral"
     return result
@@ -216,9 +219,7 @@ def _fm_project(ineqs: Sequence[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     def add(a: Vec, b: int) -> None:
         if not any(a):
             return
-        g = 0
-        for c in a:
-            g = gcd(g, c)
+        g = gcd(*a)
         a2 = tuple(c // g for c in a)
         b2 = -((-b) // g)  # ceil(b / g)
         if a2 not in kept or kept[a2] < b2:

@@ -8,7 +8,9 @@ and the inclusion-exclusion over all 2^l Minkowski subset sums are the
 references for the dilation sums in newtonzeta.volumes and
 newtonzeta.qforms.  ``_abs_det`` is not a reference but a reading of
 the column reduction: the tests compare its pivot gcds with the Leibniz
-determinant and with a residue count.
+determinant and with a residue count.  One saturated kernel per facet of
+a simplex is the reference for the start cone that the double
+description reads off a single triangular substitution.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from newtonzeta import (
     lattice_volume,
     minkowski_sum,
 )
-from newtonzeta.lattice import _column_reduce
+from newtonzeta.lattice import _column_reduce, _int_kernel
 
 
 def _solve_in_basis(
@@ -105,6 +107,24 @@ def _vertices_by_rank(
         if _rank([a for a, b in facets
                   if sum(x * y for x, y in zip(a, p)) == b]) == d
     ]
+
+
+def _simplex_facets_by_kernels(pts: Sequence[tuple[int, ...]]):
+    """Facets and tight sets of a full-dimensional simplex, as ``_dd`` gives them.
+
+    Dual ray j spans the saturated kernel of the homogenized rows other
+    than row j, oriented positive on row j; it is the facet missing point j.
+    """
+    rows = [(1,) + tuple(p) for p in pts]
+    w = len(rows)
+    entries = []
+    for j in range(w):
+        (ray,) = _int_kernel(rows[:j] + rows[j + 1:], w)
+        if sum(x * y for x, y in zip(rows[j], ray)) < 0:
+            ray = tuple(-c for c in ray)
+        entries.append(((ray[1:], -ray[0]), frozenset(range(w)) - {j}))
+    entries.sort(key=lambda e: e[0])
+    return tuple(e[0] for e in entries), tuple(e[1] for e in entries)
 
 
 @dataclass(frozen=True)

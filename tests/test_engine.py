@@ -20,7 +20,7 @@ from newtonzeta import (
     zeta_polynomial_via_cone,
 )
 from newtonzeta.engine import _deformation_stratum
-from tests.conftest import random_support
+from tests.conftest import deformation_corpus, random_support
 
 
 def P(*coords):
@@ -469,3 +469,28 @@ def test_monomial_change_fixing_parameter_axis():
             z1, _ = zeta_deformation(spec, mode=mode, scope="torus")
             z2, _ = zeta_deformation(spec2, mode=mode, scope="torus")
             assert z1 == z2
+
+
+def test_torus_zeta_is_invariant_under_monomials_and_permutations():
+    # on the torus a monomial factor does not move the zero set of a
+    # constraint, and neither does reordering the constraints or the
+    # non-parameter variables; the translated and permuted supports are
+    # fresh hull and volume inputs
+    rng = random.Random(1122)
+    for spec in deformation_corpus():
+        n = spec.n
+        sups = [[e for e, _ in c.terms] for c in spec.constraints]
+        i = rng.randrange(len(sups))
+        shift = [rng.randint(0, 2) for _ in range(n)]
+        shift[rng.randrange(n)] += 1
+        translated = [[tuple(map(sum, zip(e, shift))) for e in s] if j == i else s
+                      for j, s in enumerate(sups)]
+        perm = rng.sample(range(n - 1), n - 1) + [n - 1]
+        variants = [translated, sups[::-1],
+                    [[tuple(e[p] for p in perm) for e in s] for s in sups]]
+        for mode in ("origin", "infinity"):
+            want, _ = zeta_deformation(spec, mode=mode, scope="torus")
+            for supports in variants:
+                got, _ = zeta_deformation(SystemSpec.from_supports(n, supports),
+                                          mode=mode, scope="torus")
+                assert got == want

@@ -16,9 +16,11 @@ from newtonzeta import (
     restrict_to_index_set,
     support_min,
 )
+from newtonzeta import lattice, polytope
+from newtonzeta.lattice import _column_reduce
 from newtonzeta.polytope import _affine_reduce, _dd, _extreme_points
 from tests.conftest import random_polytope
-from tests.oracle import _vertices_by_rank
+from tests.oracle import _simplex_facets_by_kernels, _vertices_by_rank
 
 
 def P(*coords):
@@ -287,3 +289,32 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         assert _extreme_points(uniq, n) == tuple(want)
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
+
+
+def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
+    # a simplex is its own start cone, so its facets are the start rays
+    rng = random.Random(8080)
+    gcds = set()
+    for d in range(1, 6):
+        for _ in range(10):
+            pts = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d + 1)]
+            pivots = _column_reduce([(1,) + p for p in pts], d + 1)[0]
+            if len(pivots) < d + 1:
+                continue
+            gcds.update(g for _, _, g in pivots)
+            assert _dd.__wrapped__(tuple(pts), d) == _simplex_facets_by_kernels(pts)
+    assert max(gcds) > 1
+
+    # the start rays come from the reduction that picks the start rows
+    simplex = ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5))
+    want = _simplex_facets_by_kernels(simplex)
+    calls = []
+
+    def counted(rows, n):
+        calls.append(n)
+        return _column_reduce(rows, n)
+
+    monkeypatch.setattr(lattice, "_column_reduce", counted)
+    monkeypatch.setattr(polytope, "_column_reduce", counted)
+    assert _dd.__wrapped__(simplex, 3) == want
+    assert calls == [4]
