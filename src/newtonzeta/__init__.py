@@ -17,7 +17,6 @@ from .lattice import (
     orthogonal_line_generators,
     primitive_part,
     saturated_basis,
-    to_frame_coords,
 )
 from .polytope import (
     FaceRecord,
@@ -67,7 +66,6 @@ __all__ = [
     "orthogonal_line_generators",
     "primitive_part",
     "saturated_basis",
-    "to_frame_coords",
     "FaceRecord",
     "LatticePolytope",
     "dim",

@@ -3,7 +3,10 @@
 Everything is arbitrary-precision integer arithmetic; no floating point
 enters at any stage.  The one elimination is a unimodular column
 reduction of an integer matrix: ranks, kernels, spans and line normals
-read off it, and inverses (frame coordinates) after one substitution.
+read off it, and the start rays of a DD cone after one triangular
+substitution.  Frames measure by deleting coordinates: a second
+reduction, of the basis transpose, picks the coordinates to keep and the
+index of the projected lattice, so no vertex is solved for.
 
 Points and covectors are deliberately distinct types even though both
 wrap integer vectors: the only pairing the code ever performs is
@@ -14,7 +17,7 @@ direction-confusion bugs at type-check time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -24,7 +27,6 @@ __all__ = [
     "LatticeFrame",
     "primitive_part",
     "saturated_basis",
-    "to_frame_coords",
     "orthogonal_line_generators",
 ]
 
@@ -192,8 +194,8 @@ def _rank(rows: Sequence[tuple[int, ...]]) -> int:
 def _triangular_inverse(
     rows: Sequence[tuple[int, ...]],
     pivots: Sequence[tuple[int, tuple[int, ...], int]],
-) -> list[tuple[tuple[int, ...], int]]:
-    """Primitive columns c_j and d_j > 0 with rows[k] . c_j == d_j * (k == j).
+) -> list[tuple[int, ...]]:
+    """Primitive columns c_j with rows[k] . c_j > 0 if k == j, else 0.
 
     ``pivots`` reduce the independent ``rows``, one each, so the rows times
     the pivot columns C are lower triangular with the gcds g_k on the
@@ -204,7 +206,7 @@ def _triangular_inverse(
     cols = [col for _, col, _ in pivots]
     low = [[_dot(row, col) for col in cols[:k]] for k, row in enumerate(rows)]
     out = []
-    for j, (_, _, g_j) in enumerate(pivots):
+    for j in range(len(pivots)):
         y = [1]
         for k in range(j + 1, len(rows)):
             s, g = _dot(low[k][j:], y), pivots[k][2]
@@ -212,40 +214,22 @@ def _triangular_inverse(
             y = [f * v for v in y] + [-s * f // g]
         c = [_dot(y, coords) for coords in zip(*cols[j:])]
         h = gcd(*c)
-        out.append((tuple(x // h for x in c), g_j * y[0] // h))
+        out.append(tuple(x // h for x in c))
     return out
 
 
-def _right_inverse(
-    rows: Sequence[tuple[int, ...]], n: int
-) -> tuple[tuple[int, ...], ...]:
-    """Integer columns c_j with rows[k] . c_j == (1 if k == j else 0).
-
-    One reduction and one substitution (``_triangular_inverse``).  They
-    exist exactly when the rows are independent and generate a saturated
-    lattice, i.e. when every d_j is 1 (every pivot gcd is 1, the pivot
-    columns being unimodular).  Raises ValueError otherwise.
-    """
-    pivots, _ = _column_reduce(rows, n)
-    if len(pivots) < len(rows):
-        raise ValueError("frame basis is linearly dependent")
-    inverse = _triangular_inverse(rows, pivots)
-    if any(d != 1 for _, d in inverse):
-        raise ValueError("frame basis does not generate a saturated lattice")
-    return tuple(c for c, _ in inverse)
-
-
-def _coords_in(
-    delta: tuple[int, ...],
+def _span_coords(
     rows: Sequence[tuple[int, ...]],
-    inverse: Sequence[tuple[int, ...]],
-) -> tuple[int, ...] | None:
-    """The x with x . rows == delta, or None when delta is outside their span."""
-    x = tuple(sum(d * c for d, c in zip(delta, col)) for col in inverse)
-    for i, d in enumerate(delta):
-        if sum(xj * r[i] for xj, r in zip(x, rows)) != d:
-            return None
-    return x
+    pivots: Sequence[tuple[int, tuple[int, ...], int]],
+) -> tuple[tuple[int, ...], int]:
+    """Greedy coordinates J independent on the pivot rows, and |det| on J.
+
+    Both read off one reduction of the rows' transpose: its pivot rows
+    are J, and its pivot gcds multiply to the |det|.
+    """
+    basis = [rows[i] for i, _col, _g in pivots]
+    keep = _column_reduce(list(zip(*basis)), len(basis))[0]
+    return tuple(j for j, _col, _g in keep), prod(g for _j, _col, g in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +273,39 @@ class LatticeFrame:
     """Integer coordinates on a rational affine subspace.
 
     ``origin + Z<basis>`` is exactly the set of lattice points of the
-    affine hull, because the basis is required to generate a saturated
-    sublattice.  Volumes measured in frame coordinates are therefore the
-    lattice-normalized ones.
+    affine hull, because the basis must be independent and saturated.
+    One column reduction of the basis rows checks both (every row gets a
+    pivot, of gcd 1, the pivot columns being unimodular), and its kernel
+    is ``normals``, which cut out the span.  Volumes are measured by
+    deleting coordinates: the projection onto ``coords``, the greedy
+    coordinates independent on the span, is injective on it and maps the
+    frame lattice onto a sublattice of index ``index`` = |det| of the
+    basis restricted to ``coords``.
     """
 
     origin: IntPoint
     basis: tuple[IntPoint, ...]
     ambient_dim: int
-    # integer right inverse of the basis rows (see _right_inverse)
-    inverse: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    normals: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    coords: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
         if self.origin.dim != self.ambient_dim:
             raise ValueError("frame origin has wrong dimension")
         rows = [b.coords for b in self.basis]
-        for r in rows:
-            if len(r) != self.ambient_dim:
-                raise ValueError("frame basis vector has wrong dimension")
-        object.__setattr__(self, "inverse", _right_inverse(rows, self.ambient_dim))
+        if any(len(r) != self.ambient_dim for r in rows):
+            raise ValueError("frame basis vector has wrong dimension")
+        pivots, normals = _column_reduce(rows, self.ambient_dim)
+        if len(pivots) < len(rows):
+            raise ValueError("frame basis is linearly dependent")
+        if any(g != 1 for _i, _col, g in pivots):
+            raise ValueError("frame basis does not generate a saturated lattice")
+        coords, index = _span_coords(rows, pivots)
+        object.__setattr__(self, "normals", tuple(normals))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "index", index)
 
     @property
     def rank(self) -> int:
@@ -331,27 +326,6 @@ class LatticeFrame:
         if origin is None:
             origin = IntPoint((0,) * ambient_dim)
         return cls(origin, tuple(basis), ambient_dim)
-
-
-def to_frame_coords(
-    points: Sequence[IntPoint], frame: LatticeFrame
-) -> list[IntPoint]:
-    """Integer coordinates of points in the frame basis.
-
-    Every point must lie in the affine hull spanned by the frame; the
-    saturation invariant then guarantees integrality.
-    """
-    rows = [b.coords for b in frame.basis]
-    out = []
-    for p in points:
-        if p.dim != frame.ambient_dim:
-            raise ValueError("point dimension does not match frame")
-        delta = tuple(a - b for a, b in zip(p.coords, frame.origin.coords))
-        coords = _coords_in(delta, rows, frame.inverse)
-        if coords is None:
-            raise ValueError("point not in frame span")
-        out.append(IntPoint(coords))
-    return out
 
 
 def orthogonal_line_generators(

@@ -33,11 +33,9 @@ from .lattice import (
     Covector,
     IntPoint,
     _column_reduce,
-    _coords_in,
     _dot,
-    _int_kernel,
     _rank,
-    _right_inverse,
+    _span_coords,
     _triangular_inverse,
 )
 
@@ -132,30 +130,6 @@ class FaceRecord:
 
 
 # ---------------------------------------------------------------------------
-# affine reduction
-# ---------------------------------------------------------------------------
-
-def _affine_reduce(pts: Sequence[Vec], n: int) -> list[Vec]:
-    """Translate to pts[0] and rewrite in a saturated basis of the span.
-
-    The reduced points are integer vectors of length rank; the map is an
-    affine bijection onto the lattice points of the affine hull.
-    """
-    diffs = [_sub(p, pts[0]) for p in pts]
-    normals = _int_kernel(diffs, n)
-    if not normals:
-        return diffs
-    basis = _int_kernel(normals, n)
-    inverse = _right_inverse(basis, n)
-    reduced = []
-    for delta in diffs:
-        coords = _coords_in(delta, basis, inverse)
-        assert coords is not None, "difference escaped its own span"
-        reduced.append(coords)
-    return reduced
-
-
-# ---------------------------------------------------------------------------
 # double description facet enumeration (full-dimensional input)
 # ---------------------------------------------------------------------------
 
@@ -192,7 +166,7 @@ def _dd(
     init_idx = [i for i, _col, _g in pivots]
 
     order = init_idx + [i for i in range(len(rows)) if i not in set(init_idx)]
-    rays = [r for r, _d in _triangular_inverse([rows[i] for i in init_idx], pivots)]
+    rays = _triangular_inverse([rows[i] for i in init_idx], pivots)
 
     # ray j is zero exactly on the start rows other than j
     full = (1 << w) - 1
@@ -250,6 +224,21 @@ def _dd(
 # extreme points
 # ---------------------------------------------------------------------------
 
+def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
+    """The differences p - pts[0], on coordinates independent on their span.
+
+    Full-rank differences are returned as they are.  Below full rank the
+    projection onto the greedy independent coordinates is injective on
+    the span, so it keeps vertices, faces and the dimension.
+    """
+    diffs = [_sub(p, pts[0]) for p in pts]
+    pivots, normals = _column_reduce(diffs, n)
+    if normals:
+        keep = _span_coords(diffs, pivots)[0]
+        diffs = [tuple(p[j] for j in keep) for p in diffs]
+    return diffs
+
+
 def _extreme_points(pts: Sequence[Vec], n: int) -> tuple[Vec, ...]:
     """Irredundant vertex set of conv(pts) in original coordinates, sorted."""
     uniq = tuple(sorted(set(pts)))
@@ -260,15 +249,9 @@ def _extreme_points(pts: Sequence[Vec], n: int) -> tuple[Vec, ...]:
 def _extreme_points_of(uniq: tuple[Vec, ...], n: int) -> tuple[Vec, ...]:
     """Vertices of conv(uniq) for two or more sorted distinct points.
 
-    Below full rank the DD sees only coordinates independent on the span
-    of p - uniq[0]; injective there, that projection keeps the vertices.
+    The DD sees only ``_independent_diffs``, which keeps the vertices.
     """
-    diffs = [_sub(p, uniq[0]) for p in uniq]
-    pivots, normals = _column_reduce(diffs, n)
-    if normals:
-        basis = [diffs[i] for i, _col, _g in pivots]
-        keep = [j for j, _col, _g in _column_reduce(list(zip(*basis)), len(basis))[0]]
-        diffs = [tuple(p[j] for j in keep) for p in diffs]
+    diffs = _independent_diffs(uniq, n)
     # AND of the tight masks of the facets through each point
     common = [-1] * len(uniq)
     for tset in _dd(tuple(diffs), len(diffs[0]))[1]:

@@ -1,7 +1,10 @@
 """Lattice-normalized volumes and mixed volumes of lattice polytopes.
 
-Volumes are measured in a saturated frame of a rational affine subspace,
-so the fundamental lattice cell has volume one.  ``_pyramid_sum``
+Volumes are normalized to the lattice of a saturated frame, and
+measured by coordinate projection: a body's differences are kept on the
+frame's ``coords``, where the frame lattice has index ``frame.index``,
+so each volume, and each term of a dilation sum (the projection commutes
+with Minkowski sums and dilation), is divided by it.  ``_pyramid_sum``
 returns the integer l! Vol_l as a sum of lattice pyramids over the
 facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
 a.x >= b with primitive a adds the lattice distance a.v0 - b times the
@@ -27,7 +30,7 @@ coefficient of x^l in the product over i.  For k = l only a = (1,...,1)
 is left, b runs over the nonzero 0/1 vectors with c(b) = (-1)^(l-|b|),
 and the sum is l! MV(F_1, ..., F_l).
 A lattice-point counting oracle (dilate, count, interpolate) provides an
-independent route to the same volumes for cross-validation.
+independent route to the projected volumes for cross-validation.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  ``lattice_volume`` tests the rank once, and
@@ -43,14 +46,14 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
-from .lattice import LatticeFrame, _coords_in, _rank
+from .lattice import LatticeFrame, _dot, _rank
 from .polytope import (
     _MEMO_SIZE,
     LatticePolytope,
     Vec,
-    _affine_reduce,
     _dd,
     _extreme_points,
+    _independent_diffs,
     _sub,
 )
 
@@ -66,21 +69,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _reduce_to_frame(P: LatticePolytope, frame: LatticeFrame) -> list[Vec]:
-    """Translate P to its first vertex and rewrite in frame coordinates.
+    """Differences from P's first vertex, on the frame's ``coords``.
 
-    Only the direction space matters for volumes, so an arbitrary
-    translation into the frame's linear span is allowed; a polytope whose
-    directions escape the span is rejected.
+    Only the direction space matters for volumes, so any translation is
+    allowed; a polytope whose directions escape the span is rejected.
     """
-    v0 = P.vertices[0]
-    basis_rows = [b.coords for b in frame.basis]
-    out = []
-    for v in P.vertices:
-        coords = _coords_in(_sub(v.coords, v0.coords), basis_rows, frame.inverse)
-        if coords is None:
-            raise ValueError("polytope outside frame span")
-        out.append(coords)
-    return out
+    if P.ambient_dim != frame.ambient_dim:
+        raise ValueError("polytope dimension does not match frame")
+    v0 = P.vertices[0].coords
+    diffs = [_sub(v.coords, v0) for v in P.vertices]
+    if any(_dot(a, d) for a in frame.normals for d in diffs):
+        raise ValueError("polytope outside frame span")
+    return [tuple(d[j] for j in frame.coords) for d in diffs]
 
 
 def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -122,7 +122,7 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     l = frame.rank
     extremes = _canonical_pts(_reduce_to_frame(P, frame))
     vol = _pyramid_sum(extremes, l) if _rank(extremes[1:]) == l else 0
-    return Fraction(vol, factorial(l))
+    return Fraction(vol, factorial(l) * frame.index)
 
 
 def _dilation_terms(k: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -140,12 +140,15 @@ def _dilation_sum(
 ) -> int:
     """Sum of c(b) Vol_l(b_1 F_1 + ... + b_k F_k) for k nonempty bodies.
 
-    The memo is keyed by the sorted canonical frame point sets, so it is
-    looked up before any term is built.
+    The memo is keyed by the sorted canonical projected point sets, so it
+    is looked up before any term is built; its sum is ``frame.index``
+    times the frame's.
     """
     bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
                           for P in polytopes))
-    return _dilation_sum_of(bodies, frame.rank)
+    result, rem = divmod(_dilation_sum_of(bodies, frame.rank), frame.index)
+    assert rem == 0, "dilation sum failed to be a multiple of the index"
+    return result
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -244,15 +247,17 @@ def _fm_project(ineqs: Sequence[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
 
 
 def _count_lattice_points(pts: Sequence[Vec]) -> int:
-    """Number of lattice points in conv(pts)."""
+    """Number of lattice points in conv(pts), when pts span Q^n.
+
+    Below full rank it counts the points of a projection onto independent
+    coordinates, whose Ehrhart polynomial has the same degree: the degree
+    is all the oracle needs of a lower-dimensional body.
+    """
     uniq = sorted(set(pts))
-    reduced = _affine_reduce(uniq, len(uniq[0]))
+    reduced = _independent_diffs(uniq, len(uniq[0]))
     a = len(reduced[0])
     if a == 0:
         return 1
-    if a == 1:
-        vals = [p[0] for p in reduced]
-        return max(vals) - min(vals) + 1
     extremes = _extreme_points(reduced, a)
     systems: list[list[tuple[Vec, int]]] = [list(_dd(extremes, a)[0])]
     for _ in range(a - 1):
@@ -303,9 +308,7 @@ def lattice_point_volume_oracle(
         raise ValueError("volume of empty polytope")
     l = frame.rank
     reduced = _reduce_to_frame(P, frame)
-    counts = []
-    for t in range(l + 1):
-        scaled = [tuple(t * c for c in p) for p in reduced]
-        counts.append(_count_lattice_points(scaled))
+    counts = [_count_lattice_points([tuple(t * c for c in p) for p in reduced])
+              for t in range(l + 1)]
     lead = sum((-1) ** (l - i) * comb(l, i) * counts[i] for i in range(l + 1))
-    return Fraction(lead, factorial(l))
+    return Fraction(lead, factorial(l) * frame.index)

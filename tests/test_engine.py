@@ -494,3 +494,10 @@ def test_torus_zeta_is_invariant_under_monomials_and_permutations():
                 got, _ = zeta_deformation(SystemSpec.from_supports(n, supports),
                                           mode=mode, scope="torus")
                 assert got == want
+        # z_n -> 1/z_n, each constraint shifted back to nonnegative exponents,
+        # turns the fibre at infinity into the fibre at the origin
+        flipped = [[tuple(e[:-1]) + (max(f[-1] for f in s) - e[-1],) for e in s]
+                   for s in sups]
+        got, _ = zeta_deformation(SystemSpec.from_supports(n, flipped),
+                                  mode="origin", scope="torus")
+        assert got == zeta_deformation(spec, mode="infinity", scope="torus")[0]

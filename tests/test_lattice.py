@@ -11,12 +11,13 @@ from newtonzeta import (
     Covector,
     IntPoint,
     LatticeFrame,
+    hull,
+    lattice_volume,
     orthogonal_line_generators,
     primitive_part,
     saturated_basis,
-    to_frame_coords,
 )
-from newtonzeta.lattice import _column_reduce, _int_kernel, _rank
+from newtonzeta.lattice import _column_reduce, _dot, _int_kernel, _rank
 from tests.oracle import _abs_det, _solve_in_basis
 
 
@@ -153,23 +154,29 @@ def test_saturation_index_matches_determinant():
 
 
 def test_frame_coordinates_round_trip():
-    frame = LatticeFrame(
-        IntPoint((0, 0, 0)), (IntPoint((1, 1, 0)),), 3
-    )
-    pts = [IntPoint((0, 0, 0)), IntPoint((1, 1, 0)), IntPoint((2, 2, 0))]
-    coords = to_frame_coords(pts, frame)
-    assert [c.coords for c in coords] == [(0,), (1,), (2,)]
-    for p, c in zip(pts, coords):
-        rebuilt = frame.origin
-        for x, b in zip(c.coords, frame.basis):
-            rebuilt = rebuilt + b.scaled(x)
-        assert rebuilt == p
+    # a frame keeps the coordinates independent on its span, a point of the
+    # span is recovered from them, and the projected lattice has index |det|
+    for direction, index in (((1, 1, 0), 1), ((2, 1, 0), 2), ((0, 3, -1), 3)):
+        frame = LatticeFrame(IntPoint((0, 0, 0)), (IntPoint(direction),), 3)
+        assert frame.coords == (next(i for i, c in enumerate(direction) if c),)
+        assert frame.index == index and len(frame.normals) == 2
+        block = [tuple(direction[j] for j in frame.coords)]
+        for x in (-2, 0, 1, 3):
+            p = IntPoint(direction).scaled(x)
+            assert not any(_dot(a, p.coords) for a in frame.normals)
+            projected = tuple(p.coords[j] for j in frame.coords)
+            assert _solve_in_basis(block, projected) == [x]
+        # lattice length: the projected length divided by the index
+        start = IntPoint((5, 5, 5))
+        segment = hull([start, start + IntPoint(direction).scaled(3)])
+        assert lattice_volume(segment, frame) == 3
 
 
 def test_frame_coordinates_outside_span():
     frame = LatticeFrame(IntPoint((0, 0, 0)), (IntPoint((1, 1, 0)),), 3)
-    with pytest.raises(ValueError, match="not in frame span"):
-        to_frame_coords([IntPoint((1, 0, 0))], frame)
+    assert any(_dot(a, (1, 0, 0)) for a in frame.normals)
+    with pytest.raises(ValueError, match="outside frame span"):
+        lattice_volume(hull([IntPoint((0, 0, 0)), IntPoint((1, 0, 0))]), frame)
 
 
 def test_frame_requires_saturated_basis():
@@ -237,19 +244,26 @@ def _greedy_independent(rows):
 
 
 def _check_frame_coords(rng, frame, rows, n):
+    # coords are the greedy independent columns and index is |det| there
+    assert frame.coords == tuple(_greedy_independent(list(zip(*rows))))
+    block = [[r[j] for j in frame.coords] for r in rows]
+    assert frame.index == abs(_leibniz_det(block))
+    # the normals cut out the span: the rational oracle agrees on membership
     coeffs = tuple(rng.randint(-4, 4) for _ in rows)
     delta = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n))
-    point = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, delta)))
-    assert to_frame_coords([point], frame)[0].coords == coeffs
+    assert not any(_dot(a, delta) for a in frame.normals)
+    if frame.rank == 1:
+        point = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, delta)))
+        assert lattice_volume(hull([frame.origin, point]), frame) == abs(coeffs[0])
     other = tuple(rng.randint(-6, 6) for _ in range(n))
     sol = _solve_in_basis(rows, other)
-    moved = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, other)))
+    assert (sol is not None) == all(_dot(a, other) == 0 for a in frame.normals)
     if sol is None:
-        with pytest.raises(ValueError, match="not in frame span"):
-            to_frame_coords([moved], frame)
+        moved = IntPoint(tuple(o + d for o, d in zip(frame.origin.coords, other)))
+        with pytest.raises(ValueError, match="outside frame span"):
+            lattice_volume(hull([frame.origin, moved]), frame)
     else:
         assert all(x.denominator == 1 for x in sol)
-        assert to_frame_coords([moved], frame)[0].coords == tuple(int(x) for x in sol)
 
 
 def test_column_reduction_matches_rational_oracle():

@@ -18,7 +18,7 @@ from newtonzeta import (
 )
 from newtonzeta import lattice, polytope
 from newtonzeta.lattice import _column_reduce
-from newtonzeta.polytope import _affine_reduce, _dd, _extreme_points
+from newtonzeta.polytope import _dd, _extreme_points, _independent_diffs
 from tests.conftest import random_polytope
 from tests.oracle import _simplex_facets_by_kernels, _vertices_by_rank
 
@@ -275,7 +275,7 @@ def _incidence_cases():
 def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
     dims = set()
     for n, uniq in _incidence_cases():
-        reduced = _affine_reduce(uniq, n)
+        reduced = _independent_diffs(uniq, n)
         d = len(reduced[0])
         dims.add((n, d))
         if d == 0:

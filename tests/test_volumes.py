@@ -16,6 +16,7 @@ from newtonzeta import (
     lattice_volume,
     minkowski_sum,
     mixed_volume_of,
+    q_exponent,
 )
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _count_lattice_points
@@ -57,6 +58,21 @@ def test_volume_rejects_bodies_outside_frame():
     frame = LatticeFrame.span_of([IntPoint((1, 0))], 2)
     with pytest.raises(ValueError, match="outside frame span"):
         lattice_volume(seg((0, 0), (0, 1)), frame)
+
+
+def test_volumes_reject_bodies_of_the_wrong_dimension():
+    tri2 = P((0, 0), (1, 0), (0, 1))
+    tri4 = P((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0))
+    plane = LatticeFrame.span_of([IntPoint((1, 0, 0)), IntPoint((0, 1, 0))], 3)
+    calls = [
+        lambda: lattice_volume(tri2, LatticeFrame.standard(3)),
+        lambda: mixed_volume_of([tri2, tri2], plane),
+        lambda: q_exponent(2, [tri4], LatticeFrame.standard(2)),
+        lambda: lattice_point_volume_oracle(tri4, LatticeFrame.standard(2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="polytope dimension does not match frame"):
+            call()
 
 
 def test_mixed_volume_of_transverse_segments():
@@ -184,15 +200,19 @@ def test_mixed_volume_validates_arity():
 
 
 def _frame_body(rng, frame, npts):
-    """Hull of npts random points of [0, 2]^l in frame coordinates, shifted."""
+    """Hull of npts random points of [0, 2]^l in frame coordinates, shifted.
+
+    Returns the body and the hull of those frame coordinates in Z^l.
+    """
     n = frame.ambient_dim
     shift = tuple(rng.randint(-3, 3) for _ in range(n))
-    pts = set()
-    while len(pts) < npts:
-        x = [rng.randint(0, 2) for _ in frame.basis]
-        pts.add(tuple(s + sum(xj * b.coords[i] for xj, b in zip(x, frame.basis))
-                      for i, s in enumerate(shift)))
-    return hull([IntPoint(p) for p in pts])
+    xs = set()
+    while len(xs) < npts:
+        xs.add(tuple(rng.randint(0, 2) for _ in frame.basis))
+    pts = [tuple(s + sum(xj * b.coords[i] for xj, b in zip(x, frame.basis))
+                 for i, s in enumerate(shift))
+           for x in xs]
+    return hull([IntPoint(p) for p in pts]), hull([IntPoint(x) for x in xs])
 
 
 def _placed(rng, pts):
@@ -212,21 +232,32 @@ def test_pyramid_volumes_match_counting_and_closed_forms():
     while checked < 16:
         d = 2 + checked % 3
         frame = LatticeFrame.standard(d)
-        Q = _frame_body(rng, frame, rng.randint(d + 2, d + 4))
+        Q, _ = _frame_body(rng, frame, rng.randint(d + 2, d + 4))
         if len(Q.vertices) <= d + 1 or dim(Q) < d:
             continue
         assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame)
         checked += 1
-    # rank-l frames inside Z^(l+1)
-    for l in (1, 2, 2, 3, 3, 3):
+    # rank-l frames inside Z^(l+1) and Z^(l+2), measured against counting
+    # and, independently of the projection, against the frame coordinates
+    indices = set()
+    for l, extra in product((1, 2, 2, 3, 3, 3), (1, 2)):
+        n = l + extra
         while True:
-            dirs = [IntPoint(tuple(rng.randint(-2, 2) for _ in range(l + 1)))
+            dirs = [IntPoint(tuple(rng.randint(-2, 2) for _ in range(n)))
                     for _ in range(l)]
-            frame = LatticeFrame.span_of(dirs, l + 1)
+            frame = LatticeFrame.span_of(dirs, n)
             if frame.rank == l:
                 break
-        Q = _frame_body(rng, frame, rng.randint(l + 1, l + 3))
+        indices.add(frame.index)
+        standard = LatticeFrame.standard(l)
+        Q, X = _frame_body(rng, frame, rng.randint(l + 1, l + 3))
         assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame)
+        assert lattice_volume(Q, frame) == lattice_volume(X, standard)
+        bodies = [(Q, X)] + [_frame_body(rng, frame, rng.randint(2, l + 2))
+                             for _ in range(l - 1)]
+        assert (mixed_volume_of([B for B, _ in bodies], frame)
+                == mixed_volume_of([Y for _, Y in bodies], standard))
+    assert max(indices) > 1
     # bodies in a hyperplane have volume 0
     for d in (1, 2, 3, 4):
         frame = LatticeFrame.standard(d)
