@@ -2,15 +2,15 @@
 
 A polytope is carried by its irredundant vertex set; faces, facet
 normals and Minkowski sums are all computed from vertices with exact
-integer arithmetic.  Facets of a full-dimensional polytope are
-enumerated by a double description sweep over the dual cone of the
-homogenization, which stays exact in any ambient dimension; a
-lower-dimensional input is projected onto coordinates independent on its
-affine hull to find its vertices.  Facet and vertex computations are
-memoized on the sorted point tuple by ``functools.lru_cache``, bounded
-by ``_MEMO_SIZE``, since the same polytopes recur heavily in
-mixed-volume work; each memo's ``cache_info()`` reports its size and hit
-rate, ``cache_clear()`` empties it.
+integer arithmetic.  One function, ``_dd``, answers both questions
+asked of a point set, its vertices and its facets with their vertices,
+by a double description sweep over the dual cone of the homogenization,
+which stays exact in any ambient dimension; a lower-dimensional set is
+projected onto coordinates independent on its affine hull, and has
+vertices but no facets.  ``_dd`` is memoized on the point tuple by
+``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the same
+polytopes recur heavily in mixed-volume work; its ``cache_info()``
+reports size and hit rate, ``cache_clear()`` empties it.
 
 Incidence is bookkept rather than recomputed: each ray of the sweep
 carries the mask of processed points it is zero on, and a new ray
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .lattice import (
     Covector,
@@ -55,11 +55,12 @@ __all__ = [
 Vec = tuple[int, ...]
 
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
-# the largest memo of one benchmark round holds 5618 entries (``_dd``,
-# deform-affine, seeds 1-10), so no round evicts.  At the largest
-# measured bytes per entry (9.6 KB ``_dd``, 8.0 KB ``_extreme_points_of``,
-# 3.5 KB ``_dilation_sum_of``, 0.9 KB ``_pyramid_sum``, all mixedvol-d4),
-# the four memos hold about 180 MB when full.
+# over seeds 1-10 of every benchmark workload the largest round holds
+# 4502 entries in ``_dd``, 3465 in ``_pyramid_sum`` and 724 in
+# ``_dilation_sum_of``, so no round evicts.  At the largest measured
+# bytes per entry (4.5 KB ``_dd``, 2.8 KB ``_pyramid_sum``, 3.1 KB
+# ``_dilation_sum_of``, all mixedvol-d4, tracemalloc's drop on each
+# ``cache_clear()``), the three memos hold about 86 MB when full.
 _MEMO_SIZE = 8192
 
 
@@ -130,20 +131,23 @@ class FaceRecord:
 
 
 # ---------------------------------------------------------------------------
-# double description facet enumeration (full-dimensional input)
+# double description: vertices, facets and incidence of a point set
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _dd(
     pts: tuple[Vec, ...], d: int
-) -> tuple[tuple[tuple[Vec, int], ...], tuple[frozenset[int], ...]]:
-    """Facets plus, per facet, the indices of the input points on it.
+) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], ...], tuple[frozenset[int], ...]]:
+    """Sorted vertex indices, facets, and per facet its vertex indices.
 
-    Each facet satisfies ``a . x >= b`` on the polytope with equality
-    exactly on the facet; ``a`` is primitive.  Computed as the extreme
-    rays of the dual cone ``{(c0, c) : c0 + c.v >= 0 for all vertices}``
-    by an incremental double description sweep, whose tight-set masks
-    double as the facet-point incidence, saving a full rescan later.
+    ``pts`` are distinct.  Each facet satisfies ``a . x >= b`` on
+    conv(pts) with equality exactly on the facet; ``a`` is primitive.
+    Facets are the extreme rays of the dual cone
+    ``{(c0, c) : c0 + c.p >= 0 for all p}``, found by an incremental
+    double description sweep whose tight-set masks double as the
+    incidence.  Below full dimension there are no facets, and the
+    vertices are those of the projection onto the coordinates that are
+    independent on the affine hull, which is injective there.
 
     The start rows are the pivot rows of the one reduction that tests
     full dimension, and ``_triangular_inverse`` reads the start rays off
@@ -157,12 +161,17 @@ def _dd(
     are; on row t it is zero by construction.  Its mask is therefore the
     parents' common mask plus bit t.
     """
+    if len(pts) == 1:
+        return (0,), (), ()
     w = d + 1
     rows = [(1,) + p for p in pts]
 
-    # greedy maximal independent subset for the initial simplicial cone
+    # one reduction decides the dimension and picks the start cone's rows
     pivots = _column_reduce(rows, w)[0]
-    assert len(pivots) == w, "points are not full-dimensional"
+    if len(pivots) < w:
+        keep = [j - 1 for j in _span_coords(rows, pivots)[0][1:]]
+        proj = tuple(tuple(p[j] for j in keep) for p in pts)
+        return _dd(proj, len(keep))[0], (), ()
     init_idx = [i for i, _col, _g in pivots]
 
     order = init_idx + [i for i in range(len(rows)) if i not in set(init_idx)]
@@ -210,55 +219,22 @@ def _dd(
         rays = list(merged.keys())
         masks = [merged[r] for r in rays]
 
+    # a point is a vertex when the AND of the masks through it is its bit
+    common = [-1] * len(order)
+    for m in masks:
+        for t in range(len(order)):
+            if m >> t & 1:
+                common[t] &= m
+    vpos = [t for t, c in enumerate(common) if c == 1 << t]
+
     entries = []
     for r, m in zip(rays, masks):
         c0, c = r[0], r[1:]
         assert any(c), "trivial dual ray should not be extreme"
-        tight = frozenset(order[t] for t in range(len(order)) if (m >> t) & 1)
-        entries.append(((c, -c0), tight))
+        entries.append(((c, -c0), frozenset(order[t] for t in vpos if m >> t & 1)))
     entries.sort(key=lambda e: e[0])
-    return tuple(e[0] for e in entries), tuple(e[1] for e in entries)
-
-
-# ---------------------------------------------------------------------------
-# extreme points
-# ---------------------------------------------------------------------------
-
-def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
-    """The differences p - pts[0], on coordinates independent on their span.
-
-    Full-rank differences are returned as they are.  Below full rank the
-    projection onto the greedy independent coordinates is injective on
-    the span, so it keeps vertices, faces and the dimension.
-    """
-    diffs = [_sub(p, pts[0]) for p in pts]
-    pivots, normals = _column_reduce(diffs, n)
-    if normals:
-        keep = _span_coords(diffs, pivots)[0]
-        diffs = [tuple(p[j] for j in keep) for p in diffs]
-    return diffs
-
-
-def _extreme_points(pts: Sequence[Vec], n: int) -> tuple[Vec, ...]:
-    """Irredundant vertex set of conv(pts) in original coordinates, sorted."""
-    uniq = tuple(sorted(set(pts)))
-    return uniq if len(uniq) <= 1 else _extreme_points_of(uniq, n)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _extreme_points_of(uniq: tuple[Vec, ...], n: int) -> tuple[Vec, ...]:
-    """Vertices of conv(uniq) for two or more sorted distinct points.
-
-    The DD sees only ``_independent_diffs``, which keeps the vertices.
-    """
-    diffs = _independent_diffs(uniq, n)
-    # AND of the tight masks of the facets through each point
-    common = [-1] * len(uniq)
-    for tset in _dd(tuple(diffs), len(diffs[0]))[1]:
-        m = sum(1 << i for i in tset)
-        for pi in tset:
-            common[pi] &= m
-    return tuple(p for pi, p in enumerate(uniq) if common[pi] == 1 << pi)
+    vertices = tuple(sorted(order[t] for t in vpos))
+    return vertices, tuple(e[0] for e in entries), tuple(e[1] for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +256,8 @@ def hull(points: Iterable[IntPoint], ambient_dim: int | None = None) -> LatticeP
         raise ValueError("mixed dimensions in hull input")
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient_dim does not match point dimension")
-    extremes = _extreme_points([p.coords for p in pts], n)
-    return LatticePolytope(tuple(IntPoint(p) for p in extremes), n)
+    uniq = tuple(sorted({p.coords for p in pts}))
+    return LatticePolytope(tuple(IntPoint(uniq[i]) for i in _dd(uniq, n)[0]), n)
 
 
 def dim(P: LatticePolytope) -> int:
@@ -350,11 +326,11 @@ def facet_normals(P: LatticePolytope) -> list[FaceRecord]:
     orthogonal-line rule instead.
     """
     n = P.ambient_dim
-    if dim(P) != n:
+    if P.is_empty:
         raise ValueError("not full-dimensional")
-    if n == 0:
-        return []
-    facets, tights = _dd(tuple(P.raw_vertices()), n)
+    _verts, facets, tights = _dd(tuple(P.raw_vertices()), n)
+    if n and not facets:
+        raise ValueError("not full-dimensional")
     return [FaceRecord(LatticePolytope(tuple(P.vertices[i] for i in ts), n),
                        Covector(a), b)
             for (a, b), ts in zip(facets, tights)]

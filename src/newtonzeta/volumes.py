@@ -33,9 +33,12 @@ A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
-by ``polytope._MEMO_SIZE``.  ``lattice_volume`` tests the rank once, and
-``_dilation_sum_of`` once per support of b; the recursion below does
-not, because a facet of a full-rank body projects to a full-rank body.
+by ``polytope._MEMO_SIZE``.  Each measured body runs one double
+description: ``polytope._dd`` of its raw Minkowski points gives both
+the vertices that extend it and the facets that measure it.
+``lattice_volume`` tests the rank once, and ``_dilation_sum_of`` once
+per support of b; the recursion below does not, because a facet of a
+full-rank body projects to a full-rank body.
 """
 
 from __future__ import annotations
@@ -46,16 +49,8 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
-from .lattice import LatticeFrame, _dot, _rank
-from .polytope import (
-    _MEMO_SIZE,
-    LatticePolytope,
-    Vec,
-    _dd,
-    _extreme_points,
-    _independent_diffs,
-    _sub,
-)
+from .lattice import LatticeFrame, _column_reduce, _dot, _rank, _span_coords
+from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _dd, _sub
 
 __all__ = [
     "lattice_volume",
@@ -91,16 +86,20 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _pyramid_sum(extremes: tuple[Vec, ...], l: int) -> int:
-    """l! Vol_l of full-rank canonical extremes, summed over the facets."""
+def _pyramid_sum(pts: tuple[Vec, ...], l: int) -> int:
+    """l! Vol_l of any full-rank canonical pts, summed over the facets.
+
+    Facets and their vertices come from ``_dd(pts, l)``.  The apex pts[0],
+    the lexicographic minimum, is the origin and always a vertex.
+    """
     if l == 0:
         return 1
     vol = 0
-    # extremes[0] is the origin, at lattice distance -b from a facet
-    for (a, b), tset in zip(*_dd(extremes, l)):
+    # the apex is at lattice distance -b from a facet
+    for (a, b), tset in zip(*_dd(pts, l)[1:]):
         if b:
             j = min((i for i, c in enumerate(a) if c), key=lambda i: abs(a[i]))
-            facet = [extremes[i][:j] + extremes[i][j + 1:] for i in tset]
+            facet = [pts[i][:j] + pts[i][j + 1:] for i in tset]
             sub, rem = divmod(_pyramid_sum(_canonical_pts(facet), l - 1), abs(a[j]))
             assert rem == 0, "facet projection failed to be integral"
             vol -= b * sub
@@ -157,9 +156,10 @@ def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
 
     Vol_l(b.F) is 0 unless the bodies with b_i > 0 (each holds the origin)
     span Q^l: one rank test per support.  Each dilated sum that is needed
-    is built once, from the sum for the prefix of b.
+    is built once, from the ``_dd`` vertices of the sum for the prefix of
+    b, and kept as its canonical raw Minkowski points for ``_pyramid_sum``.
     """
-    sums: dict[tuple[int, ...], Sequence[Vec]] = {(): [(0,) * l]}
+    sums: dict[tuple[int, ...], tuple[Vec, ...]] = {(): ((0,) * l,)}
     full: dict[tuple[int, ...], bool] = {}
     total = 0
     for b, c in _dilation_terms(len(bodies), l):
@@ -172,14 +172,13 @@ def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
         for j, t in enumerate(b):
             nxt = sums.get(b[: j + 1])
             if nxt is None:
-                nxt = pts if t == 0 else _extreme_points(
-                    [tuple(x + t * y for x, y in zip(p, q))
-                     for p in pts for q in bodies[j]],
-                    l,
+                nxt = pts if t == 0 else _canonical_pts(
+                    [tuple(x + t * y for x, y in zip(pts[i], q))
+                     for i in _dd(pts, l)[0] for q in bodies[j]]
                 )
                 sums[b[: j + 1]] = nxt
             pts = nxt
-        total += c * _pyramid_sum(_canonical_pts(pts), l)
+        total += c * _pyramid_sum(pts, l)
     result, rem = divmod(total, factorial(l))
     assert rem == 0, "dilation sum failed to be integral"
     return result
@@ -246,6 +245,21 @@ def _fm_project(ineqs: Sequence[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
     return [(a, b) for a, b in kept.items()]
 
 
+def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
+    """The differences p - pts[0], on coordinates independent on their span.
+
+    Full-rank differences are returned as they are.  Below full rank the
+    projection onto the greedy independent coordinates is injective on
+    the span, so it keeps vertices, faces and the dimension.
+    """
+    diffs = [_sub(p, pts[0]) for p in pts]
+    pivots, normals = _column_reduce(diffs, n)
+    if normals:
+        keep = _span_coords(diffs, pivots)[0]
+        diffs = [tuple(p[j] for j in keep) for p in diffs]
+    return diffs
+
+
 def _count_lattice_points(pts: Sequence[Vec]) -> int:
     """Number of lattice points in conv(pts), when pts span Q^n.
 
@@ -258,8 +272,7 @@ def _count_lattice_points(pts: Sequence[Vec]) -> int:
     a = len(reduced[0])
     if a == 0:
         return 1
-    extremes = _extreme_points(reduced, a)
-    systems: list[list[tuple[Vec, int]]] = [list(_dd(extremes, a)[0])]
+    systems: list[list[tuple[Vec, int]]] = [list(_dd(tuple(reduced), a)[1])]
     for _ in range(a - 1):
         systems.append(_fm_project(systems[-1]))
     systems.reverse()  # systems[j-1] constrains the first j coordinates

@@ -4,8 +4,12 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
-from newtonzeta.cli import main
+from hypothesis import given, settings, strategies as st
+
+from newtonzeta.cli import TASKS, main
 
 
 def run_cli(capsys, argv, stdin_data=None, monkeypatch=None):
@@ -255,3 +259,70 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["pretty"] == "(1-t)^2"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+_NAME = st.sampled_from(["z1", "z2", "z3", "x", ""])
+_ODD_SUPPORT = st.lists(st.lists(st.integers(-1, 2), max_size=4), max_size=3)
+_ODD_POLY = (st.text(alphabet="z123x+-*^()/ 0", max_size=12) | _ODD_SUPPORT
+             | st.fixed_dictionaries({"support": _ODD_SUPPORT}) | _JSON)
+# what a field of a job document is replaced by when it is spoiled
+_ODD = {
+    "n": st.sampled_from([-1, 0, "3", 2.0, True]) | _JSON,
+    "variables": st.lists(_NAME, max_size=4) | _JSON,
+    "constraints": st.lists(_ODD_POLY, max_size=3) | _JSON,
+    "objective": _ODD_POLY,
+    "scope": st.text(max_size=6) | _JSON,
+    "options": st.dictionaries(
+        st.sampled_from(["trace", "assume_nondegenerate", "deform_var"]),
+        _NAME | _JSON, max_size=3) | _JSON,
+    "task": st.sampled_from(TASKS) | _JSON,
+}
+
+
+@st.composite
+def _job_documents(draw):
+    """A well-formed job document for n = 1..4 with a few fields spoiled."""
+    n = draw(st.integers(1, 4))
+    names = [f"z{i + 1}" for i in range(n)]
+    monomial = st.lists(st.sampled_from(names + ["1", "2"]),
+                        min_size=1, max_size=3).map("*".join)
+    support = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                       min_size=1, max_size=3, unique_by=tuple)
+    poly = (st.lists(monomial, min_size=1, max_size=3).map(" + ".join)
+            | support | st.fixed_dictionaries({"support": support}))
+    doc = draw(st.fixed_dictionaries({"n": st.just(n)}, optional={
+        "variables": st.just(names),
+        "constraints": st.lists(poly, max_size=3),
+        "objective": poly,
+        "scope": st.sampled_from(["torus", "affine"]),
+        "options": st.fixed_dictionaries({}, optional={
+            "trace": st.booleans(),
+            "assume_nondegenerate": st.booleans(),
+            "deform_var": st.sampled_from(names),
+        }),
+    }))
+    for field in draw(st.lists(st.sampled_from(sorted(_ODD)), max_size=1)):
+        doc[field] = draw(_ODD[field])
+    return doc
+
+
+_FLAGS = (st.just(())
+          | st.tuples(st.just("--scope"), st.sampled_from(["torus", "affine"]))
+          | st.tuples(st.just("--deform-var"), _NAME))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_job_documents() | _JSON, st.sampled_from(TASKS), _FLAGS)
+def test_fuzzed_documents_exit_zero_or_two(doc, task, flags):
+    text = json.dumps(doc)
+    with mock.patch("sys.stdin", _StringIO(text)), \
+            redirect_stdout(_StringIO()), redirect_stderr(_StringIO()) as err:
+        code = main([task, "-", *flags])
+    assert code in (0, 2), f"exit {code} on {task} {flags} {text}: {err.getvalue()}"

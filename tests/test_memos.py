@@ -15,7 +15,6 @@ from tests.conftest import deformation_corpus, random_polytope, route_corpus
 
 MEMOS = {
     "newtonzeta.polytope._dd",
-    "newtonzeta.polytope._extreme_points_of",
     "newtonzeta.volumes._pyramid_sum",
     "newtonzeta.volumes._dilation_sum_of",
 }

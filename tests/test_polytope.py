@@ -1,6 +1,7 @@
 """Polytope geometry: hulls, faces, sums, restrictions, facet normals."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from newtonzeta import (
     Covector,
     IntPoint,
+    LatticePolytope,
     dim,
     face,
     facet_normals,
@@ -18,7 +20,8 @@ from newtonzeta import (
 )
 from newtonzeta import lattice, polytope
 from newtonzeta.lattice import _column_reduce
-from newtonzeta.polytope import _dd, _extreme_points, _independent_diffs
+from newtonzeta.polytope import _dd
+from newtonzeta.volumes import _independent_diffs
 from tests.conftest import random_polytope
 from tests.oracle import _simplex_facets_by_kernels, _vertices_by_rank
 
@@ -141,7 +144,7 @@ def test_restrict_requires_nonnegative_vertices():
         restrict_to_index_set(shifted, {0})
 
 
-def test_facet_normals_examples():
+def test_facet_normals_examples(monkeypatch):
     square = P((0, 0), (1, 0), (0, 1), (1, 1))
     normals = {rec.normal.comps for rec in facet_normals(square)}
     assert normals == {(1, 0), (0, 1), (-1, 0), (0, -1)}
@@ -150,8 +153,26 @@ def test_facet_normals_examples():
     normals = {rec.normal.comps for rec in facet_normals(tri)}
     assert normals == {(1, 0), (0, 1), (-1, -1)}
 
-    with pytest.raises(ValueError, match="not full-dimensional"):
-        facet_normals(P((0, 0), (1, 1)))
+    for flat in (P((0, 0), (1, 1)), hull([], ambient_dim=2),
+                 P((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            facet_normals(flat)
+    assert facet_normals(P(())) == []
+
+    # a cold facet_normals runs the one reduction of its DD
+    calls = []
+
+    def counted(rows, n):
+        calls.append(n)
+        return _column_reduce(rows, n)
+
+    monkeypatch.setattr(polytope, "_dd", lru_cache(maxsize=8)(_dd.__wrapped__))
+    monkeypatch.setattr(lattice, "_column_reduce", counted)
+    monkeypatch.setattr(polytope, "_column_reduce", counted)
+    tet = LatticePolytope(tuple(IntPoint(p) for p in
+                                ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5))), 3)
+    assert len(facet_normals(tet)) == 4
+    assert calls == [4]
 
 
 def test_facet_records_are_consistent():
@@ -279,14 +300,19 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         d = len(reduced[0])
         dims.add((n, d))
         if d == 0:
+            assert _dd(tuple(uniq), n) == ((0,), (), ())
             continue
-        facets, tights = _dd(tuple(reduced), d)
+        verts, facets, tights = _dd(tuple(reduced), d)
+        want = _vertices_by_rank(reduced, facets)
+        assert verts == tuple(want)
         for (a, b), tset in zip(facets, tights):
             values = [sum(x * y for x, y in zip(a, p)) for p in reduced]
             assert min(values) == b
-            assert tset == {i for i, v in enumerate(values) if v == b}
-        want = [uniq[i] for i in _vertices_by_rank(reduced, facets)]
-        assert _extreme_points(uniq, n) == tuple(want)
+            assert tset == {i for i in want if values[i] == b}
+        hull_verts = hull([IntPoint(p) for p in uniq]).vertices
+        assert tuple(v.coords for v in hull_verts) == tuple(uniq[i] for i in want)
+        if d < n:
+            assert _dd(tuple(uniq), n) == (tuple(want), (), ())
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
 
@@ -302,7 +328,7 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
             if len(pivots) < d + 1:
                 continue
             gcds.update(g for _, _, g in pivots)
-            assert _dd.__wrapped__(tuple(pts), d) == _simplex_facets_by_kernels(pts)
+            assert _dd.__wrapped__(tuple(pts), d)[1:] == _simplex_facets_by_kernels(pts)
     assert max(gcds) > 1
 
     # the start rays come from the reduction that picks the start rows
@@ -316,5 +342,5 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
 
     monkeypatch.setattr(lattice, "_column_reduce", counted)
     monkeypatch.setattr(polytope, "_column_reduce", counted)
-    assert _dd.__wrapped__(simplex, 3) == want
+    assert _dd.__wrapped__(simplex, 3)[1:] == want
     assert calls == [4]
