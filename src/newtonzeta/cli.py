@@ -42,6 +42,13 @@ SCOPES = ("torus", "affine")
 # deformation, and the API's cone route reaches n = 6
 _MAX_N = 16
 
+# bound B on the exponents of a term: for n <= 16 (at most 16 bodies in
+# [0, B]^16) a covector's entries are minors below 10^27 B^15, a factor
+# power is below 10^29 B^16 and an exponent below 10^25 B^16, so the
+# degree, a sum of their products, stays far below the 4300 digits that
+# Python prints when B = 10^100
+_MAX_EXPONENT = 10**100
+
 
 class InputError(Exception):
     """A problem with the job document or its polynomials."""
@@ -61,9 +68,12 @@ def _load_polynomial(
 ) -> PolynomialInput:
     if isinstance(value, str):
         try:
-            return parse_polynomial(value, variables)
+            poly = parse_polynomial(value, variables)
         except ParseError as exc:
             raise _fail(path, str(exc)) from exc
+        _expect(all(c <= _MAX_EXPONENT for e, _ in poly.terms for c in e),
+                path, "exponents must be at most 10^100")
+        return poly
     support = value
     if isinstance(value, dict):
         _expect("support" in value, path, "expected a string or a support object")
@@ -76,8 +86,9 @@ def _load_polynomial(
         _expect(isinstance(vec, list) and len(vec) == n,
                 f"{path}[{i}]", f"expected an exponent vector of length {n}")
         for c in vec:
-            _expect(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                    f"{path}[{i}]", "exponents must be nonnegative integers")
+            _expect(isinstance(c, int) and not isinstance(c, bool)
+                    and 0 <= c <= _MAX_EXPONENT,
+                    f"{path}[{i}]", "exponents must be integers from 0 to 10^100")
         exps.append(tuple(vec))
     _expect(len(set(exps)) == len(exps), path, "duplicate exponent vectors")
     return PolynomialInput.from_dict({e: Fraction(1) for e in exps}, n)

@@ -5,7 +5,10 @@ The result of every computation is a formal product prod (1 - t^m)^e
 with integer exponents.  Factors are indexed by strata (coordinate
 subspaces) and by primitive covectors; the covector enumeration is the
 load-bearing step, so its completeness argument is spelled out at
-``candidate_covectors``.
+``candidate_covectors``.  Each stratum I is measured in its own
+coordinates: the faces at a covector alpha are taken on the coordinates
+of I less the one ``lattice._hyperplane_measure`` deletes, measured in
+the standard frame, and divided by the index of alpha's hyperplane.
 """
 
 from __future__ import annotations
@@ -18,16 +21,16 @@ from .lattice import (
     Covector,
     IntPoint,
     LatticeFrame,
-    _int_kernel,
+    _hyperplane_measure,
     orthogonal_line_generators,
 )
 from .polytope import (
     LatticePolytope,
+    Vec,
+    _dd,
     dim,
     face,
-    facet_normals,
     hull,  # not called here; perfbench's tracer test reads engine.hull
-    minkowski_sum,
     support_min,
 )
 from .qforms import q_exponent, q_tilde_exponent
@@ -123,7 +126,7 @@ class ContributionTrace:
 
 
 # ---------------------------------------------------------------------------
-# covector enumeration
+# covector enumeration and the stratum measure
 # ---------------------------------------------------------------------------
 
 def candidate_covectors(
@@ -154,108 +157,99 @@ def candidate_covectors(
         raise ValueError("index set must be nonempty")
     if any(i < 0 or i >= ambient_dim for i in idx):
         raise ValueError("index set out of range")
-    l = len(idx) - 1
-    pos = {i: t for t, i in enumerate(idx)}
+    m = len(idx)
 
-    total: LatticePolytope | None = None
+    # the sum on the coordinates of I, each partial sum extended from the
+    # vertices of its double description
+    pts: tuple[Vec, ...] = ((0,) * m,)
     for P in polytopes:
         if P.is_empty:
             raise ValueError("candidate covectors need nonempty polytopes")
         if P.ambient_dim != ambient_dim:
             raise ValueError("polytope dimension does not match ambient")
-        for v in P.vertices:
-            if any(c != 0 for i, c in enumerate(v.coords) if i not in pos):
-                raise ValueError("polytope not contained in the index subspace")
-        total = P if total is None else minkowski_sum(total, P)
-    if total is None:
-        total = LatticePolytope.point(IntPoint((0,) * ambient_dim))
+        on_i = _stratum_coords(P, idx)
+        if on_i is None:
+            raise ValueError("polytope not contained in the index subspace")
+        pts = tuple(sorted({
+            tuple(x + y for x, y in zip(pts[i], q))
+            for i in _dd(pts, m)[0] for q in on_i
+        }))
+    verts, facets, _tights = _dd(pts, m)
 
-    # P lies in the subspace of I, so dropping the other coordinates is a
-    # lattice bijection and keeps the vertex set
-    reduced = LatticePolytope(
-        tuple(IntPoint(tuple(v.coords[i] for i in idx)) for v in total.vertices),
-        len(idx),
-    )
-    d = dim(reduced)
+    def embed(comps: Sequence[int]) -> Covector:
+        on_i = dict(zip(idx, comps))
+        return Covector(tuple(on_i.get(i, 0) for i in range(ambient_dim)))
 
-    def embed(comps: tuple[int, ...]) -> Covector:
-        full = [0] * ambient_dim
-        for t, i in enumerate(idx):
-            full[i] = comps[t]
-        return Covector(tuple(full))
-
-    alphas: list[Covector]
-    if d == len(idx):
-        alphas = [embed(rec.normal.comps) for rec in facet_normals(reduced)]
-    elif d == l:
-        verts = reduced.vertices
-        dirs = [v - verts[0] for v in verts[1:]]
-        beta, neg = orthogonal_line_generators(dirs, len(idx))
-        alphas = [embed(beta.comps), embed(neg.comps)]
+    if facets:
+        alphas = [embed(a) for a, _b in facets]
     else:
-        alphas = []
-
+        dirs = [IntPoint(pts[i]) - IntPoint(pts[verts[0]]) for i in verts[1:]]
+        try:
+            alphas = [embed(b.comps) for b in orthogonal_line_generators(dirs, m)]
+        except ValueError:  # dimension below l
+            alphas = []
     alphas.sort(key=lambda a: a.comps)
     return alphas
 
 
-def _stratum_frame(
-    index_set: frozenset[int], alpha: Covector, ambient_dim: int
-) -> LatticeFrame:
-    """Saturated frame of {x : x_i = 0 outside I, alpha(x) = 0}, rank |I|-1."""
-    rows = [
-        tuple(1 if j == i else 0 for j in range(ambient_dim))
-        for i in range(ambient_dim)
-        if i not in index_set
-    ]
-    rows.append(alpha.comps)
-    basis = _int_kernel(rows, ambient_dim)
-    frame = LatticeFrame(
-        IntPoint((0,) * ambient_dim),
-        tuple(IntPoint(b) for b in basis),
-        ambient_dim,
-    )
-    assert frame.rank == len(index_set) - 1, "stratum frame has wrong rank"
-    return frame
+def _stratum_coords(P: LatticePolytope, idx: Sequence[int]) -> list[Vec] | None:
+    """P's vertices on the coordinates of I; None when P leaves their subspace.
+
+    On the subspace, dropping the other coordinates is a lattice bijection.
+    """
+    pts = [tuple(v.coords[i] for i in idx) for v in P.vertices]
+    # the dropped coordinates are all zero exactly when the 1-norm is kept
+    kept = all(sum(map(abs, v.coords)) == sum(map(abs, p))
+               for v, p in zip(P.vertices, pts))
+    return pts if kept else None
 
 
-def _subspace_frame(index_set: frozenset[int], ambient_dim: int) -> LatticeFrame:
-    basis = tuple(
-        IntPoint(tuple(1 if j == i else 0 for j in range(ambient_dim)))
-        for i in sorted(index_set)
-    )
-    return LatticeFrame(IntPoint((0,) * ambient_dim), basis, ambient_dim)
+def _bodies(point_sets: Sequence[Sequence[Vec]], d: int) -> list[LatticePolytope]:
+    return [LatticePolytope(tuple(IntPoint(p) for p in pts), d) for pts in point_sets]
+
+
+def _covector_traces(
+    rs: RestrictedSystem,
+    bodies: Sequence[LatticePolytope],
+    power: Callable[[Covector], int],
+    exponent: Callable[[int, list[LatticePolytope], LatticeFrame], int],
+) -> list[ContributionTrace]:
+    """A trace per candidate covector alpha of positive ``power`` and
+    nonzero ``exponent`` of the bodies' faces at alpha, in the lattice of
+    {x : x_i = 0 outside I, alpha(x) = 0}: the faces lie in that
+    hyperplane of the subspace, so they are measured on the coordinates
+    of I less the one ``_hyperplane_measure`` deletes, in one frame of Z^l.
+    """
+    idx = sorted(rs.index_set)
+    l = len(idx) - 1
+    frame = LatticeFrame.standard(l)
+    traces: list[ContributionTrace] = []
+    for alpha in candidate_covectors(bodies, idx, rs.n):
+        m = power(alpha)
+        if m <= 0:
+            continue
+        faces = [face(P, alpha).face for P in bodies]
+        point_sets = [_stratum_coords(f, idx) for f in faces]
+        assert None not in point_sets and all(
+            len({alpha.pair(v) for v in f.vertices}) == 1 for f in faces
+        ), "face is off the stratum's hyperplane"
+        e = _hyperplane_measure(
+            [alpha.comps[i] for i in idx], point_sets,
+            lambda projected: exponent(l, _bodies(projected, l), frame),
+        )
+        if e:
+            traces.append(ContributionTrace(rs.index_set, alpha, m, e,
+                                            tuple(dim(f) for f in faces)))
+    return traces
 
 
 # ---------------------------------------------------------------------------
 # deformation strata
 # ---------------------------------------------------------------------------
 
-def _deformation_stratum(
-    rs: RestrictedSystem, sign: int
-) -> list[ContributionTrace]:
-    idx = rs.index_set
-    n = rs.n
-    l = len(idx) - 1
-    traces: list[ContributionTrace] = []
-    for alpha in candidate_covectors(rs.polytopes, idx, n):
-        a_last = alpha.comps[n - 1]
-        if sign * a_last <= 0:
-            continue
-        m = sign * a_last
-        faces = [face(P, alpha).face for P in rs.polytopes]
-        frame = _stratum_frame(idx, alpha, n)
-        e = q_exponent(l, faces, frame)
-        if e == 0:
-            continue
-        traces.append(ContributionTrace(
-            index_set=idx,
-            alpha=alpha,
-            m=m,
-            exponent=e,
-            face_dims=tuple(dim(f) for f in faces),
-        ))
-    return traces
+def _deformation_stratum(rs: RestrictedSystem, sign: int) -> list[ContributionTrace]:
+    return _covector_traces(rs, rs.polytopes,
+                            lambda alpha: sign * alpha.comps[rs.n - 1], q_exponent)
 
 
 def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[int]]:
@@ -316,17 +310,12 @@ def zeta_deformation(
 # polynomial on a complete intersection
 # ---------------------------------------------------------------------------
 
-def _polynomial_stratum(
-    rs: RestrictedSystem,
-) -> list[ContributionTrace]:
-    idx = rs.index_set
-    n = rs.n
-    l = len(idx) - 1
+def _polynomial_stratum(rs: RestrictedSystem) -> list[ContributionTrace]:
+    idx = sorted(rs.index_set)
     obj = rs.objective_restriction
     assert obj is not None, "polynomial stratum needs an objective restriction"
     if obj.is_empty:
         return []
-    traces: list[ContributionTrace] = []
 
     # Boundary factor of the stratum: the covector constant on the whole
     # subspace contributes (1 - t) to the power of the Euler
@@ -335,34 +324,15 @@ def _polynomial_stratum(
     # provably produces it, and it is what makes degree(zeta) equal the
     # fiber Euler characteristic; see the route-equivalence tests.
     bodies = [obj, *rs.polytopes]
-    e0 = q_exponent(len(idx), bodies, _subspace_frame(idx, n))
-    if e0 != 0:
-        traces.append(ContributionTrace(
-            index_set=idx,
-            alpha=None,
-            m=1,
-            exponent=e0,
-            face_dims=tuple(dim(b) for b in bodies),
-        ))
-
-    for alpha in candidate_covectors(bodies, idx, n):
-        m0 = support_min(obj, alpha)
-        if m0 <= 0:
-            continue
-        f0 = face(obj, alpha).face
-        faces = [face(P, alpha).face for P in rs.polytopes]
-        frame = _stratum_frame(idx, alpha, n)
-        e = q_tilde_exponent(l, f0, faces, frame)
-        if e == 0:
-            continue
-        traces.append(ContributionTrace(
-            index_set=idx,
-            alpha=alpha,
-            m=m0,
-            exponent=e,
-            face_dims=tuple(dim(f) for f in [f0, *faces]),
-        ))
-    return traces
+    on_i = [_stratum_coords(b, idx) for b in bodies]
+    assert None not in on_i, "body is off the stratum's subspace"
+    e0 = q_exponent(len(idx), _bodies(on_i, len(idx)), LatticeFrame.standard(len(idx)))
+    traces = [ContributionTrace(rs.index_set, None, 1, e0,
+                                tuple(dim(b) for b in bodies))] if e0 else []
+    return traces + _covector_traces(
+        rs, bodies, lambda alpha: support_min(obj, alpha),
+        lambda l, fs, frame: q_tilde_exponent(l, fs[0], fs[1:], frame),
+    )
 
 
 def zeta_polynomial(

@@ -6,7 +6,10 @@ reduction of an integer matrix: ranks, kernels, spans and line normals
 read off it, and the start rays of a DD cone after one triangular
 substitution.  Frames measure by deleting coordinates: a second
 reduction, of the basis transpose, picks the coordinates to keep and the
-index of the projected lattice, so no vertex is solved for.
+index of the projected lattice, so no vertex is solved for.  A
+hyperplane with a primitive normal a needs no reduction at all: delete
+the coordinate of smallest nonzero |a_j| and divide by |a_j|
+(``_hyperplane_measure``, shared by facet pyramids and strata).
 
 Points and covectors are deliberately distinct types even though both
 wrap integer vectors: the only pairing the code ever performs is
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, prod
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "IntPoint",
@@ -230,6 +233,26 @@ def _span_coords(
     basis = [rows[i] for i, _col, _g in pivots]
     keep = _column_reduce(list(zip(*basis)), len(basis))[0]
     return tuple(j for j, _col, _g in keep), prod(g for _j, _col, g in keep)
+
+
+def _hyperplane_measure(
+    a: Sequence[int],
+    point_sets: Sequence[Sequence[tuple[int, ...]]],
+    measure: Callable[[list[list[tuple[int, ...]]]], int],
+) -> int:
+    """A volume-like ``measure`` of point sets on a.x = c, in that lattice.
+
+    ``a`` is primitive.  Deleting the coordinate j of smallest nonzero
+    |a_j| (the first on a tie) is injective on the hyperplane and maps its
+    lattice onto {y : sum_{i!=j} a_i y_i = 0 mod a_j}, of index |a_j|
+    since gcd(a) = 1; so ``measure`` of the projected sets, normalised to
+    the full lattice, is divided by |a_j|, exactly.
+    """
+    j = min((i for i, c in enumerate(a) if c), key=lambda i: abs(a[i]))
+    projected = [[p[:j] + p[j + 1:] for p in pts] for pts in point_sets]
+    result, rem = divmod(measure(projected), abs(a[j]))
+    assert rem == 0, "hyperplane projection failed to be integral"
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ class LatticePolytope:
     def empty(cls, ambient_dim: int) -> "LatticePolytope":
         return cls((), ambient_dim)
 
-    @classmethod
-    def point(cls, p: IntPoint) -> "LatticePolytope":
-        return cls((p,), p.dim)
-
     def raw_vertices(self) -> list[Vec]:
         return [v.coords for v in self.vertices]
 

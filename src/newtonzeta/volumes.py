@@ -9,14 +9,12 @@ returns the integer l! Vol_l as a sum of lattice pyramids over the
 facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
 a.x >= b with primitive a adds the lattice distance a.v0 - b times the
 (l-1)! Vol_{l-1} of the facet in its own hyperplane lattice.  Facets
-through v0 have height zero and are skipped.  The facet is measured
-after deleting a coordinate j with a_j != 0, the smallest |a_j|: that
-projection is injective on the hyperplane and maps its lattice onto
-{y in Z^(l-1) : sum_{i!=j} a_i y_i = 0 mod a_j}, of index |a_j| since
-gcd(a) = 1, so the projected facet's (l-1)! Vol_{l-1} is divided by
-|a_j|.  Mixed volumes and the q-exponents of ``qforms`` are one
-dilation sum over k bodies F_i in an l-frame, evaluated by
-``_dilation_sum``:
+through v0 have height zero and are skipped.  The facet is measured by
+``lattice._hyperplane_measure``: delete the coordinate j of smallest
+nonzero |a_j|, and divide the projection's (l-1)! Vol_{l-1} by |a_j|,
+the index of the projected hyperplane lattice.  Mixed volumes and the
+q-exponents of ``qforms`` are one dilation sum over k bodies F_i in an
+l-frame, evaluated by ``_dilation_sum``:
 
     sum_b c(b) Vol_l(b_1 F_1 + ... + b_k F_k),
     c(b) = (-1)^(|b|+k) C(l+k-1-z(b), |b|+k-1),
@@ -49,7 +47,8 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import Iterator, Sequence
 
-from .lattice import LatticeFrame, _column_reduce, _dot, _rank, _span_coords
+from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
+                      _rank, _span_coords)
 from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _dd, _sub
 
 __all__ = [
@@ -98,11 +97,9 @@ def _pyramid_sum(pts: tuple[Vec, ...], l: int) -> int:
     # the apex is at lattice distance -b from a facet
     for (a, b), tset in zip(*_dd(pts, l)[1:]):
         if b:
-            j = min((i for i, c in enumerate(a) if c), key=lambda i: abs(a[i]))
-            facet = [pts[i][:j] + pts[i][j + 1:] for i in tset]
-            sub, rem = divmod(_pyramid_sum(_canonical_pts(facet), l - 1), abs(a[j]))
-            assert rem == 0, "facet projection failed to be integral"
-            vol -= b * sub
+            vol -= b * _hyperplane_measure(
+                a, [[pts[i] for i in tset]],
+                lambda facet: _pyramid_sum(_canonical_pts(facet[0]), l - 1))
     return vol
 
 

@@ -10,7 +10,9 @@ newtonzeta.qforms.  ``_abs_det`` is not a reference but a reading of
 the column reduction: the tests compare its pivot gcds with the Leibniz
 determinant and with a residue count.  One saturated kernel per facet of
 a simplex is the reference for the start cone that the double
-description reads off a single triangular substitution.
+description reads off a single triangular substitution, and a saturated
+kernel frame per covector is the reference for the engine's stratum
+measure, which reads the hyperplane lattice off the covector instead.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from math import prod
 from typing import Sequence
 
 from newtonzeta import (
+    Covector,
+    IntPoint,
     LatticeFrame,
     LatticePolytope,
     lattice_volume,
@@ -213,3 +217,23 @@ def q_exponent_by_compositions(
             bodies.extend([body] * mult)
         total += sign * mixed_volume_by_subsets(bodies, frame)
     return total
+
+
+def stratum_frame(
+    index_set: frozenset[int], alpha: Covector, ambient_dim: int
+) -> LatticeFrame:
+    """Saturated frame of {x : x_i = 0 outside I, alpha(x) = 0}, rank |I|-1."""
+    rows = [
+        tuple(1 if j == i else 0 for j in range(ambient_dim))
+        for i in range(ambient_dim)
+        if i not in index_set
+    ]
+    rows.append(alpha.comps)
+    basis = _int_kernel(rows, ambient_dim)
+    frame = LatticeFrame(
+        IntPoint((0,) * ambient_dim),
+        tuple(IntPoint(b) for b in basis),
+        ambient_dim,
+    )
+    assert frame.rank == len(index_set) - 1, "stratum frame has wrong rank"
+    return frame

@@ -34,13 +34,14 @@ from newtonzeta import (
     zeta_polynomial,
     zeta_polynomial_via_cone,
 )
-from newtonzeta.engine import _strata_for, _stratum_frame
+from newtonzeta.engine import _strata_for
 from tests.conftest import (
     curated_degree_systems,
     deformation_corpus,
     random_polytope,
     route_corpus,
 )
+from tests.oracle import stratum_frame
 
 
 def _report(label: str, started: float, budget: float) -> None:
@@ -227,7 +228,7 @@ def test_enumeration_completeness():
                     continue
                 f0 = face(obj, alpha).face
                 fs = [face(P, alpha).face for P in rs.polytopes]
-                e = q_tilde_exponent(l, f0, fs, _stratum_frame(idx, alpha, spec.n))
+                e = q_tilde_exponent(l, f0, fs, stratum_frame(idx, alpha, spec.n))
                 if e != 0:
                     assert alpha.comps in allowed, (spec, idx, alpha)
 
@@ -242,7 +243,7 @@ def test_enumeration_completeness():
             for alpha in _primitive_covectors_on(idx, spec.n, bound):
                 scanned += 1
                 fs = [face(P, alpha).face for P in rs.polytopes]
-                e = q_exponent(l, fs, _stratum_frame(idx, alpha, spec.n))
+                e = q_exponent(l, fs, stratum_frame(idx, alpha, spec.n))
                 if e != 0:
                     assert alpha.comps in allowed, (spec, idx, alpha)
 

@@ -128,6 +128,24 @@ def test_oversized_expanded_coefficients_are_input_errors(tmp_path, capsys):
             assert "coefficient of more than 4300 digits" in err
 
 
+def test_oversized_exponents_are_input_errors(tmp_path, capsys):
+    # (z1^E)^E has an exponent of 4400 digits: a factor power or a Newton
+    # vertex that could be computed but not printed
+    e = "7" * 2200
+    docs = [
+        ({"n": 2, "constraints": [f"z1 + (z1^{e})^{e}*z2"]}, "constraints[0]"),
+        ({"n": 2, "constraints": [[[1, 0], [10**100 + 1, 1]]]}, "constraints[0][1]"),
+    ]
+    for doc, where in docs:
+        path = write_job(tmp_path, doc)
+        for task in ("deform-origin", "info"):
+            code, out, err = run_cli(capsys, [task, path])
+            assert code == 2
+            assert f"{where}: exponents must be" in err
+    path = write_job(tmp_path, {"n": 2, "constraints": [[[1, 0], [10**100, 1]]]})
+    assert run_cli(capsys, ["deform-origin", path])[0] == 0
+
+
 def test_oversized_expansion_is_input_error(tmp_path, capsys):
     # C(100002, 2) terms: rejected at the first product past the bound
     path = write_job(tmp_path, {"n": 3, "constraints": ["(z1+z2+z3)^100000"]})

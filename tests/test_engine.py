@@ -3,24 +3,32 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newtonzeta import (
     Covector,
     IntPoint,
+    LatticeFrame,
     SystemSpec,
     ZetaProduct,
     candidate_covectors,
     cone_system,
     euler_ci_torus,
+    face,
     hull,
     parse_polynomial,
+    q_exponent,
+    q_tilde_exponent,
     restrict_system,
     zeta_deformation,
     zeta_polynomial,
     zeta_polynomial_via_cone,
 )
+from newtonzeta import lattice, polytope, volumes
 from newtonzeta.engine import _deformation_stratum
+from newtonzeta.lattice import _column_reduce, _int_kernel
 from tests.conftest import deformation_corpus, random_support
+from tests.oracle import stratum_frame
 
 
 def P(*coords):
@@ -501,3 +509,111 @@ def test_torus_zeta_is_invariant_under_monomials_and_permutations():
         got, _ = zeta_deformation(SystemSpec.from_supports(n, flipped),
                                   mode="origin", scope="torus")
         assert got == zeta_deformation(spec, mode="infinity", scope="torus")[0]
+
+
+def test_monomial_changes_beyond_shears_keep_the_torus_zeta():
+    # z' = z^A on the non-parameter variables, A in GL(n-1, Z) with
+    # negative entries and sign flips, is a torus automorphism fixing the
+    # parameter; each support is then multiplied back to nonnegative
+    # exponents.  These supports reach covectors whose hyperplane lattice
+    # has index |alpha_j| > 1.
+    rng = random.Random(2468)
+    indices = set()
+    for n in (3, 3, 3, 4, 4, 4):
+        m = n - 1
+        mat = [[int(r == c) for c in range(m)] for r in range(m)]
+        for _ in range(3):
+            r, c = rng.sample(range(m), 2)
+            a = rng.choice([-2, -1, 1, 2])
+            mat[r] = [x + a * y for x, y in zip(mat[r], mat[c])]
+        rng.shuffle(mat)
+        mat = [[-x for x in row] if rng.random() < 0.5 else row for row in mat]
+        sups = [random_support(rng, n, npts=rng.randint(2, 4))
+                for _ in range(rng.randint(1, n - 1))]
+        mapped = []
+        for s in sups:
+            image = [[sum(row[c] * e[c] for c in range(m)) for row in mat] + [e[-1]]
+                     for e in s]
+            low = [min(col) for col in zip(*image)]
+            mapped.append([[x - y for x, y in zip(e[:m], low)] + [e[-1]] for e in image])
+        spec, spec2 = (SystemSpec.from_supports(n, x) for x in (sups, mapped))
+        for mode in ("origin", "infinity"):
+            z1, _ = zeta_deformation(spec, mode=mode, scope="torus")
+            z2, traces = zeta_deformation(spec2, mode=mode, scope="torus")
+            assert z1 == z2, (sups, mat)
+            indices.update(min(abs(c) for c in t.alpha.comps if c) for t in traces)
+    assert max(indices) > 1
+
+
+# ---------------------------------------------------------------------------
+# the stratum measure against the kernel-frame oracle
+# ---------------------------------------------------------------------------
+
+def _supports(n, count):
+    point = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    return st.lists(st.lists(point, min_size=2, max_size=4, unique=True),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def _small_systems(draw):
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n - 1))
+    constraints = draw(_supports(n, k))
+    if draw(st.booleans()):
+        return SystemSpec.from_supports(n, constraints)
+    return SystemSpec.from_supports(n, constraints[: n - 1],
+                                    objective_support=draw(_supports(n, 1))[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_systems())
+def test_stratum_measure_matches_kernel_frames(spec):
+    if spec.objective is None:
+        runs = [zeta_deformation(spec, mode=mode)[1] for mode in ("origin", "infinity")]
+    else:
+        runs = [zeta_polynomial(spec)[1]]
+    for trace in (t for traces in runs for t in traces):
+        rs = restrict_system(spec, trace.index_set)
+        l = len(trace.index_set) - 1
+        if trace.alpha is None:
+            units = [IntPoint(tuple(int(j == i) for j in range(spec.n)))
+                     for i in sorted(trace.index_set)]
+            bodies = [rs.objective_restriction, *rs.polytopes]
+            want = q_exponent(l + 1, bodies, LatticeFrame.span_of(units, spec.n))
+        else:
+            frame = stratum_frame(trace.index_set, trace.alpha, spec.n)
+            faces = [face(P, trace.alpha).face for P in rs.polytopes]
+            if spec.objective is None:
+                want = q_exponent(l, faces, frame)
+            else:
+                f0 = face(rs.objective_restriction, trace.alpha).face
+                want = q_tilde_exponent(l, f0, faces, frame)
+        assert trace.exponent == want, trace
+
+
+def test_stratum_measure_runs_no_kernel(monkeypatch):
+    # a cold n = 3 deformation reads each hyperplane lattice off its
+    # covector, among them (0, 2, 3) and (3, 2, 3) of index 2; a kernel
+    # frame per covector made 5 kernels and 40 reductions here
+    for memo in (polytope._dd, volumes._pyramid_sum, volumes._dilation_sum_of):
+        memo.cache_clear()
+    calls = {"reduce": 0, "kernel": 0}
+
+    def counted(rows, n):
+        calls["reduce"] += 1
+        return _column_reduce(rows, n)
+
+    def kernel(rows, n):
+        calls["kernel"] += 1
+        return _int_kernel(rows, n)
+
+    for mod in (lattice, polytope, volumes):
+        monkeypatch.setattr(mod, "_column_reduce", counted)
+    monkeypatch.setattr(lattice, "_int_kernel", kernel)
+    spec = SystemSpec.from_supports(
+        3, [[[2, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 2], [3, 2, 1]]])
+    z, traces = zeta_deformation(spec, mode="origin", scope="affine")
+    assert z.factors == ((1, 2), (3, -1), (7, -1))
+    assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
+    assert calls == {"reduce": 32, "kernel": 0}
