@@ -4,9 +4,9 @@ The zeta factors raise (1 - t^m) to integer exponents obtained by
 evaluating the degree-l part of prod_i x_i/(1+x_i) on polytopes, where a
 monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
 the bodies taken with those multiplicities.  Their sum over the
-compositions a >= 1 of l is one dilation sum, sum_b c(b) Vol_l(b.F) with
-c(b) = (-1)^(|b|+k) C(l+k-1-z(b), |b|+k-1), derived in ``volumes``; so no
-composition is enumerated.
+compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
+mixed cells of one lifted Cayley hull of the faces (``volumes``), so no
+composition is enumerated and no mixed volume is taken on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .lattice import LatticeFrame
 from .polytope import LatticePolytope
-from .volumes import _dilation_sum
+from .volumes import _cayley_sum_of, _frame_sum
 
 __all__ = ["q_exponent", "q_tilde_exponent"]
 
@@ -38,7 +38,7 @@ def q_exponent(
         return 0
     if any(f.is_empty for f in faces):
         return 0
-    return _dilation_sum(faces, frame)
+    return _frame_sum(_cayley_sum_of, faces, frame)
 
 
 def q_tilde_exponent(

@@ -9,7 +9,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from newtonzeta.cli import TASKS, main
+from newtonzeta.cli import _MAX_TERMS, TASKS, main
 
 
 def run_cli(capsys, argv, stdin_data=None, monkeypatch=None):
@@ -156,6 +156,28 @@ def test_oversized_expansion_is_input_error(tmp_path, capsys):
     assert "expansion too large" in err
 
 
+def test_oversized_term_counts_are_input_errors(tmp_path, capsys):
+    # one term past the bound, as text, as a support list and as a support
+    # object, is rejected before any hull; a polynomial at the bound runs
+    over = [[i] for i in range(_MAX_TERMS + 1)]
+    text = " + ".join(f"z1^{i}" for i in range(_MAX_TERMS + 1))
+    docs = [
+        ({"n": 1, "constraints": [text]}, "info", "constraints[0]"),
+        ({"n": 1, "constraints": [over]}, "deform-origin", "constraints[0]"),
+        ({"n": 1, "objective": {"support": over}}, "polyzeta", "objective.support"),
+    ]
+    for doc, task, where in docs:
+        path = write_job(tmp_path, doc)
+        code, out, err = run_cli(capsys, [task, path])
+        assert code == 2, (task, where)
+        assert f"{where}: at most {_MAX_TERMS} terms are supported" in err
+    for constraint in (over[:-1], text.rpartition(" + ")[0]):
+        path = write_job(tmp_path, {"n": 1, "constraints": [constraint]})
+        code, out, err = run_cli(capsys, ["info", path])
+        assert code == 0
+        assert json.loads(out)["constraints"][0]["terms"] == _MAX_TERMS
+
+
 def test_schema_error_has_field_path(tmp_path, capsys):
     cases = [
         ({"n": 2, "constraints": [{"support": [[0]]}]}, "deform-origin", "constraints[0]"),
@@ -218,6 +240,20 @@ def test_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["deform-origin", path])
     assert code == 3
     assert "internal error" in err
+
+
+def test_internal_error_names_type_and_innermost_line(tmp_path, capsys, monkeypatch):
+    path = write_job(tmp_path, PAPER_JOB)
+    import newtonzeta.cli as cli_mod
+
+    def boom(job):
+        raise KeyError("synthetic failure")
+
+    monkeypatch.setattr(cli_mod, "run", boom)
+    code, out, err = run_cli(capsys, ["deform-origin", path])
+    assert code == 3 and out == ""
+    where = f"{boom.__code__.co_filename}:{boom.__code__.co_firstlineno + 1}"
+    assert err == f"internal error: KeyError at {where}: 'synthetic failure'\n"
 
 
 def test_trace_factors_multiply_to_headline(tmp_path, capsys):

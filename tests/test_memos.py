@@ -17,6 +17,7 @@ MEMOS = {
     "newtonzeta.polytope._dd",
     "newtonzeta.volumes._pyramid_sum",
     "newtonzeta.volumes._dilation_sum_of",
+    "newtonzeta.volumes._cayley_sum_of",
 }
 
 

@@ -2,8 +2,10 @@
 of the reference route they are checked against."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newtonzeta import (
     IntPoint,
@@ -12,6 +14,7 @@ from newtonzeta import (
     mixed_volume_of,
     q_exponent,
     q_tilde_exponent,
+    volumes,
 )
 from tests.conftest import random_polytope
 from tests.oracle import (
@@ -227,3 +230,60 @@ def test_dilation_sums_match_composition_oracle():
             mixed_volume_by_subsets(bodies, frame)
         )
     assert kinds_seen == {"body", "point", "segment", "repeat", "translate"}
+
+
+@st.composite
+def _exponent_cases(draw):
+    """l <= 4 and 1 <= k <= l bodies, each a point or 2-4 points; some
+    cases keep every body in the hyperplane x_l = 0, so that their sum
+    has rank below l.  Drawn from a Hypothesis ``Random``, which spreads
+    its choices wider than ``st.integers`` and ``st.sets`` do."""
+    rng = draw(st.randoms(use_true_random=False))
+    l = rng.randint(1, 4)
+    k = rng.randint(1, l)
+    flat = l > 1 and rng.randrange(5) == 0
+    hi = 2 if l < 4 else 1  # keeps the oracle's 2^l subset sums small
+    box = [p for p in product(range(hi + 1), repeat=l) if not (flat and p[-1])]
+    bodies = []
+    for _ in range(k):
+        size = 1 if rng.randrange(10) == 0 else min(len(box), rng.randint(2, 4))
+        bodies.append(rng.sample(box, size))
+    return l, [P(*body) for body in bodies]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exponent_cases())
+def test_cayley_sums_match_composition_oracle(case):
+    l, faces = case
+    frame = LatticeFrame.standard(l)
+    assert q_exponent(l, faces, frame) == q_exponent_by_compositions(l, faces, frame)
+
+
+def test_degenerate_lift_is_lifted_again(monkeypatch):
+    # flat heights put every Cayley point on one lower facet, which is no
+    # simplex for these bodies; the next lift is taken and gives the value
+    lifts = volumes._lifts
+    relifts = []
+
+    def flat_first(key, count):
+        yield [0] * count
+        for heights in lifts(key, count):
+            relifts.append(key)
+            yield heights
+
+    monkeypatch.setattr(volumes, "_lifts", flat_first)
+    square = P((0, 0), (1, 0), (0, 1), (1, 1))
+    cube = P(*[(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    cases = [
+        (2, [square]),
+        (2, [square, P((0, 0), (2, 1))]),
+        (3, [cube]),
+        (3, [cube, P((0, 0, 0), (1, 2, 0), (0, 1, 1))]),
+    ]
+    for l, faces in cases:
+        volumes._cayley_sum_of.cache_clear()
+        relifts.clear()
+        frame = LatticeFrame.standard(l)
+        value = q_exponent(l, faces, frame)
+        assert len(relifts) == 1
+        assert value == q_exponent_by_compositions(l, faces, frame)
