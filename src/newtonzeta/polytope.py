@@ -57,9 +57,9 @@ Vec = tuple[int, ...]
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
 # over seeds 1-10 of every benchmark workload the largest round holds
 # 1807 entries in ``_dd``, 1712 in ``_pyramid_sum`` (both mixedvol-d4),
-# 638 in ``_cayley_sum_of`` (deform-affine) and 42 in
-# ``_dilation_sum_of``, so no round evicts; the lifted Cayley sets
-# bypass ``_dd``.  At the largest measured bytes per entry (5.0 KB
+# 562 in ``_cayley_sum_of`` and 83 in ``_dilation_sum_of`` (both
+# deform-affine), so no round evicts; the lifted Cayley sets bypass
+# ``_dd``.  At the largest measured bytes per entry (5.0 KB
 # ``_dd``, 3.0 KB ``_pyramid_sum``, 3.5 KB ``_dilation_sum_of``, all
 # mixedvol-d4, and 0.7 KB ``_cayley_sum_of``, deform-affine;
 # tracemalloc's drop on each ``cache_clear()``), the four memos hold

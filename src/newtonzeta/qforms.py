@@ -6,7 +6,11 @@ monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
 the bodies taken with those multiplicities.  Their sum over the
 compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
 mixed cells of one lifted Cayley hull of the faces (``volumes``), so no
-composition is enumerated and no mixed volume is taken on its own.
+composition is enumerated and no mixed volume is taken on its own.  For
+k = l bodies the only composition is (1, ..., 1) and the sum is the one
+mixed volume l! MV(F_1, ..., F_l), measured by the polarization of
+``mixed_volume_of``, whose cost does not grow with the cells of the
+Cayley hull that are not mixed (see ``volumes``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 from .lattice import LatticeFrame
 from .polytope import LatticePolytope
-from .volumes import _cayley_sum_of, _frame_sum
+from .volumes import _cayley_sum_of, _dilation_sum_of, _frame_sum
 
 __all__ = ["q_exponent", "q_tilde_exponent"]
 
@@ -38,7 +42,8 @@ def q_exponent(
         return 0
     if any(f.is_empty for f in faces):
         return 0
-    return _frame_sum(_cayley_sum_of, faces, frame)
+    return _frame_sum(_cayley_sum_of if k < l else _dilation_sum_of,
+                      faces, frame)
 
 
 def q_tilde_exponent(

@@ -32,12 +32,18 @@ replaced by the next one.  The value does not depend on the lift.
 
 Mixed volumes, the case k = l, keep the polarization l! MV(F_1, ...,
 F_l) = sum_S (-1)^(l-|S|) l! Vol_l(sum_{i in S} F_i) over the 2^l - 1
-nonempty subsets S (``_dilation_sum_of``).  The Cayley route gives the
-same number, but it triangulates the whole Cayley polytope while only
-the mixed cells count: the 64 Cayley points of four 4-boxes lift to
-about 710 lower cells, 16-18 of them mixed, and one such mixed volume
-took 0.9-1.4 s that way against 0.04-0.06 s by polarization (2-core
-Xeon, Python 3.11).
+nonempty subsets S (``_dilation_sum_of``), in ``mixed_volume_of`` and
+in ``qforms.q_exponent`` alike.  The Cayley route gives the same number,
+but it triangulates the whole Cayley polytope while only the mixed
+cells count: the 64 Cayley points of four 4-boxes lift to about 710
+lower cells, 16-18 of them mixed, and one such mixed volume took
+1.4 s that way against 0.07 s by polarization (one cold call, 2-core
+Xeon, Python 3.11).  On four random 5-point bodies in [0, 3]^4 the
+Cayley route is the faster (0.07 s against 0.35 s), but whole Newton
+polytopes reach k = l (``engine.euler_ci_torus``, the boundary factors
+of the engine), so the route whose cost does not grow with the cells
+that are not mixed is kept.  With k < l those cells still cost: three
+4-boxes in Z^4 take 0.3 s and two 5-boxes in Z^5 1.1 s.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 

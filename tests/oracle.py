@@ -8,11 +8,12 @@ and the inclusion-exclusion over all 2^l Minkowski subset sums are the
 references for the exponents that newtonzeta.volumes reads off a lifted
 Cayley hull, and for its mixed volumes.  ``_abs_det`` is not a
 reference but a reading of the column reduction: the tests compare its
-pivot gcds with the Leibniz determinant and with a residue count.  One saturated kernel per facet of
-a simplex is the reference for the start cone that the double
-description reads off a single triangular substitution, and a saturated
-kernel frame per covector is the reference for the engine's stratum
-measure, which reads the hyperplane lattice off the covector instead.
+pivot gcds with the Leibniz determinant and with a residue count.  One
+saturated kernel per facet of a simplex is the reference for the start
+cone that the double description reads off a single triangular
+substitution, and a saturated kernel frame per covector is the
+reference for the engine's stratum measure, which reads the hyperplane
+lattice off the covector instead.
 """
 
 from __future__ import annotations
