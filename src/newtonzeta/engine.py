@@ -21,15 +21,16 @@ from .lattice import (
     Covector,
     IntPoint,
     LatticeFrame,
+    _dot,
     _hyperplane_measure,
+    _rank,
     orthogonal_line_generators,
 )
 from .polytope import (
     LatticePolytope,
     Vec,
     _dd,
-    dim,
-    face,
+    _sub,
     hull,  # not called here; perfbench's tracer test reads engine.hull
     support_min,
 )
@@ -208,6 +209,11 @@ def _bodies(point_sets: Sequence[Sequence[Vec]], d: int) -> list[LatticePolytope
     return [LatticePolytope(tuple(IntPoint(p) for p in pts), d) for pts in point_sets]
 
 
+def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:
+    """The affine dimension of each nonempty point set: its differences' rank."""
+    return tuple(_rank([_sub(p, pts[0]) for p in pts[1:]]) for pts in point_sets)
+
+
 def _covector_traces(
     rs: RestrictedSystem,
     bodies: Sequence[LatticePolytope],
@@ -216,30 +222,28 @@ def _covector_traces(
 ) -> list[ContributionTrace]:
     """A trace per candidate covector alpha of positive ``power`` and
     nonzero ``exponent`` of the bodies' faces at alpha, in the lattice of
-    {x : x_i = 0 outside I, alpha(x) = 0}: the faces lie in that
-    hyperplane of the subspace, so they are measured on the coordinates
-    of I less the one ``_hyperplane_measure`` deletes, in one frame of Z^l.
+    {x : x_i = 0 outside I, alpha(x) = 0}.  The bodies are read on the
+    coordinates of I once; the face at alpha is the subset where alpha
+    takes its minimum, so it lies in that hyperplane of the subspace and
+    is measured on the coordinates of I less the one
+    ``_hyperplane_measure`` deletes, in one frame of Z^l.
     """
     idx = sorted(rs.index_set)
     l = len(idx) - 1
     frame = LatticeFrame.standard(l)
+    on_i = [_stratum_coords(P, idx) for P in bodies]
     traces: list[ContributionTrace] = []
     for alpha in candidate_covectors(bodies, idx, rs.n):
         m = power(alpha)
         if m <= 0:
             continue
-        faces = [face(P, alpha).face for P in bodies]
-        point_sets = [_stratum_coords(f, idx) for f in faces]
-        assert None not in point_sets and all(
-            len({alpha.pair(v) for v in f.vertices}) == 1 for f in faces
-        ), "face is off the stratum's hyperplane"
+        a = [alpha.comps[i] for i in idx]
+        lows = [min(_dot(a, p) for p in pts) for pts in on_i]
+        faces = [[p for p in pts if _dot(a, p) == low] for pts, low in zip(on_i, lows)]
         e = _hyperplane_measure(
-            [alpha.comps[i] for i in idx], point_sets,
-            lambda projected: exponent(l, _bodies(projected, l), frame),
-        )
+            a, faces, lambda projected: exponent(l, _bodies(projected, l), frame))
         if e:
-            traces.append(ContributionTrace(rs.index_set, alpha, m, e,
-                                            tuple(dim(f) for f in faces)))
+            traces.append(ContributionTrace(rs.index_set, alpha, m, e, _dims(faces)))
     return traces
 
 
@@ -327,8 +331,7 @@ def _polynomial_stratum(rs: RestrictedSystem) -> list[ContributionTrace]:
     on_i = [_stratum_coords(b, idx) for b in bodies]
     assert None not in on_i, "body is off the stratum's subspace"
     e0 = q_exponent(len(idx), _bodies(on_i, len(idx)), LatticeFrame.standard(len(idx)))
-    traces = [ContributionTrace(rs.index_set, None, 1, e0,
-                                tuple(dim(b) for b in bodies))] if e0 else []
+    traces = [ContributionTrace(rs.index_set, None, 1, e0, _dims(on_i))] if e0 else []
     return traces + _covector_traces(
         rs, bodies, lambda alpha: support_min(obj, alpha),
         lambda l, fs, frame: q_tilde_exponent(l, fs[0], fs[1:], frame),

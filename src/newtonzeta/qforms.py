@@ -5,12 +5,13 @@ evaluating the degree-l part of prod_i x_i/(1+x_i) on polytopes, where a
 monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
 the bodies taken with those multiplicities.  Their sum over the
 compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
-mixed cells of one lifted Cayley hull of the faces (``volumes``), so no
-composition is enumerated and no mixed volume is taken on its own.  For
-k = l bodies the only composition is (1, ..., 1) and the sum is the one
-mixed volume l! MV(F_1, ..., F_l), measured by the polarization of
-``mixed_volume_of``, whose cost does not grow with the cells of the
-Cayley hull that are not mixed (see ``volumes``).
+mixed cells of one lifted Cayley hull of the faces, so no composition
+is enumerated and no mixed volume is taken on its own.  For k = l
+bodies the only composition is (1, ..., 1) and the sum is the one mixed
+volume l! MV(F_1, ..., F_l), measured by polarization, whose cost does
+not grow with the cells of the Cayley hull that are not mixed.  The
+route and the zero cases are chosen in one place, ``volumes._frame_sum``,
+which ``volumes.mixed_volume_of`` shares.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .lattice import LatticeFrame
 from .polytope import LatticePolytope
-from .volumes import _cayley_sum_of, _dilation_sum_of, _frame_sum
+from .volumes import _frame_sum
 
 __all__ = ["q_exponent", "q_tilde_exponent"]
 
@@ -30,20 +31,12 @@ def q_exponent(
     """Signed sum of mixed volumes over the compositions of degree l.
 
     The degree-0 case is purely combinatorial (1 for zero bodies, else 0)
-    and bypasses the geometry, where a 0-dimensional mixed volume would
-    be meaningless.
+    and, like the other zero cases and the choice of route, is decided
+    by ``volumes._frame_sum`` before any geometry.
     """
-    k = len(faces)
-    if l == 0:
-        return 1 if k == 0 else 0
     if frame.rank != l:
         raise ValueError("frame rank must equal the exponent degree")
-    if k == 0 or k > l:
-        return 0
-    if any(f.is_empty for f in faces):
-        return 0
-    return _frame_sum(_cayley_sum_of if k < l else _dilation_sum_of,
-                      faces, frame)
+    return _frame_sum(faces, frame)
 
 
 def q_tilde_exponent(

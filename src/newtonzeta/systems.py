@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import IntPoint
@@ -365,6 +366,8 @@ class SystemSpec:
     With no objective the system describes a one-parameter deformation in
     the last variable; with an objective it describes that polynomial
     restricted to the complete intersection cut out by the constraints.
+    The Newton polytopes are built once, on first use, and belong to the
+    spec; every stratum restricts them.
     """
 
     n: int
@@ -400,6 +403,12 @@ class SystemSpec:
     @property
     def k(self) -> int:
         return len(self.constraints)
+
+    @cached_property
+    def newton_polytopes(self) -> tuple[LatticePolytope, ...]:
+        """The constraints' Newton polytopes, then the objective's if any."""
+        objective = () if self.objective is None else (self.objective,)
+        return tuple(newton_polytope(p) for p in self.constraints + objective)
 
     @classmethod
     def from_supports(
@@ -463,20 +472,13 @@ def restrict_system(spec: SystemSpec, index_set: Iterable[int]) -> RestrictedSys
     idx = frozenset(index_set)
     if not idx <= set(range(spec.n)):
         raise ValueError("index set out of range")
-    indices = []
-    polys = []
-    for j, c in enumerate(spec.constraints):
-        restricted = restrict_to_index_set(newton_polytope(c), idx)
-        if not restricted.is_empty:
-            indices.append(j)
-            polys.append(restricted)
-    obj = None
-    if spec.objective is not None:
-        obj = restrict_to_index_set(newton_polytope(spec.objective), idx)
+    polys = [restrict_to_index_set(P, idx) for P in spec.newton_polytopes]
+    obj = polys.pop() if spec.objective is not None else None
+    indices = [j for j, P in enumerate(polys) if not P.is_empty]
     return RestrictedSystem(
         index_set=idx,
         indices=tuple(indices),
-        polytopes=tuple(polys),
+        polytopes=tuple(polys[j] for j in indices),
         objective_restriction=obj,
         n=spec.n,
     )
@@ -515,22 +517,21 @@ def cone_system(spec: SystemSpec) -> SystemSpec:
     new_terms[apex] = Fraction(-1)
     last = PolynomialInput.from_dict(new_terms, n1)
 
-    cone_poly = newton_polytope(last)
-    expected = hull(
-        [IntPoint(e + (0,)) for e, _ in spec.objective.terms] + [IntPoint(apex)]
-    )
-    assert cone_poly == expected, "cone polytope identity violated"
-
     variables = None
     if spec.variables is not None:
         variables = spec.variables + (_fresh_variable(spec.variables),)
-    return SystemSpec(
+    cone = SystemSpec(
         n=n1,
         constraints=tuple(lifted) + (last,),
         objective=None,
         nondegeneracy_acknowledged=spec.nondegeneracy_acknowledged,
         variables=variables,
     )
+    expected = hull(
+        [IntPoint(e + (0,)) for e, _ in spec.objective.terms] + [IntPoint(apex)]
+    )
+    assert cone.newton_polytopes[-1] == expected, "cone polytope identity violated"
+    return cone
 
 
 def fiber_polytopes(spec: SystemSpec) -> list[LatticePolytope]:

@@ -32,18 +32,13 @@ replaced by the next one.  The value does not depend on the lift.
 
 Mixed volumes, the case k = l, keep the polarization l! MV(F_1, ...,
 F_l) = sum_S (-1)^(l-|S|) l! Vol_l(sum_{i in S} F_i) over the 2^l - 1
-nonempty subsets S (``_dilation_sum_of``), in ``mixed_volume_of`` and
-in ``qforms.q_exponent`` alike.  The Cayley route gives the same number,
-but it triangulates the whole Cayley polytope while only the mixed
-cells count: the 64 Cayley points of four 4-boxes lift to about 710
-lower cells, 16-18 of them mixed, and one such mixed volume took
-1.4 s that way against 0.07 s by polarization (one cold call, 2-core
-Xeon, Python 3.11).  On four random 5-point bodies in [0, 3]^4 the
-Cayley route is the faster (0.07 s against 0.35 s), but whole Newton
-polytopes reach k = l (``engine.euler_ci_torus``, the boundary factors
-of the engine), so the route whose cost does not grow with the cells
-that are not mixed is kept.  With k < l those cells still cost: three
-4-boxes in Z^4 take 0.3 s and two 5-boxes in Z^5 1.1 s.
+nonempty subsets S (``_dilation_sum_of``).  The Cayley route gives the
+same number, but it triangulates the whole Cayley polytope while only
+the mixed cells count (four 4-boxes lift to about 710 lower cells,
+16-18 of them mixed), and whole Newton polytopes reach k = l
+(``engine.euler_ci_torus``, the engine's boundary factors).
+``_frame_sum`` is the one place that decides the zero cases and the
+route, for ``mixed_volume_of`` and ``qforms.q_exponent`` alike.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
@@ -64,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, prod
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
                       _rank, _span_coords)
@@ -143,19 +138,26 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     return Fraction(vol, factorial(l) * frame.index)
 
 
-def _frame_sum(
-    sum_of: Callable[[tuple[tuple[Vec, ...], ...], int], int],
-    polytopes: Sequence[LatticePolytope], frame: LatticeFrame,
-) -> int:
-    """A memoized sum of k nonempty bodies, measured in the frame.
+def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int:
+    """(-1)^(l-k) sum_a l! MV(F^a) of k bodies over the compositions a >= 1
+    of l = ``frame.rank``, measured in the frame.
 
-    The memo ``sum_of`` is keyed by the sorted canonical projected point
-    sets, so it is looked up before any work is done; its sum is
-    ``frame.index`` times the frame's.
+    The one place that chooses the route: no body gives the empty
+    product, 1 in degree 0 and 0 above; more than l bodies or an empty
+    one give 0; otherwise the memo is ``_cayley_sum_of`` for k < l and
+    ``_dilation_sum_of`` for k = l.  It is keyed by the sorted canonical
+    projected point sets, so it is looked up before any work is done;
+    its sum is ``frame.index`` times the frame's.
     """
+    k, l = len(polytopes), frame.rank
+    if k == 0 or k > l:
+        return int(k == l)
+    if any(P.is_empty for P in polytopes):
+        return 0
     bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
                           for P in polytopes))
-    result, rem = divmod(sum_of(bodies, frame.rank), frame.index)
+    sum_of = _cayley_sum_of if k < l else _dilation_sum_of
+    result, rem = divmod(sum_of(bodies, l), frame.index)
     assert rem == 0, "exponent sum failed to be a multiple of the index"
     return result
 
@@ -250,18 +252,13 @@ def mixed_volume_of(
 ) -> int:
     """l! times the lattice mixed volume of l bodies in an l-frame.
 
-    Polarization over the 2^l - 1 nonempty subsets (``_dilation_sum_of``).
-    Symmetric, integer, nonnegative.  Any empty body gives 0.
+    Polarization over the 2^l - 1 nonempty subsets (``_dilation_sum_of``,
+    through ``_frame_sum``).  Symmetric, integer, nonnegative.  Any empty
+    body gives 0, and no body in rank 0 gives 1.
     """
-    bodies = list(polytopes)
-    l = frame.rank
-    if len(bodies) != l:
+    if len(polytopes) != frame.rank:
         raise ValueError("number of bodies must equal the frame rank")
-    if any(b.is_empty for b in bodies):
-        return 0
-    if l == 0:
-        return 1
-    result = _frame_sum(_dilation_sum_of, bodies, frame)
+    result = _frame_sum(polytopes, frame)
     assert result >= 0, "mixed volume failed to be nonnegative"
     return result
 

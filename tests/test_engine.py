@@ -14,6 +14,7 @@ from newtonzeta import (
     candidate_covectors,
     cone_system,
     euler_ci_torus,
+    dim,
     face,
     hull,
     parse_polynomial,
@@ -24,7 +25,7 @@ from newtonzeta import (
     zeta_polynomial,
     zeta_polynomial_via_cone,
 )
-from newtonzeta import lattice, polytope, volumes
+from newtonzeta import lattice, polytope, systems, volumes
 from newtonzeta.engine import _deformation_stratum
 from newtonzeta.lattice import _column_reduce, _int_kernel
 from tests.conftest import deformation_corpus, random_support
@@ -576,12 +577,17 @@ def test_stratum_measure_matches_kernel_frames(spec):
     for trace in (t for traces in runs for t in traces):
         rs = restrict_system(spec, trace.index_set)
         l = len(trace.index_set) - 1
+        bodies = list(rs.polytopes)
+        if spec.objective is not None:
+            bodies.insert(0, rs.objective_restriction)
         if trace.alpha is None:
+            assert trace.face_dims == tuple(dim(b) for b in bodies)
             units = [IntPoint(tuple(int(j == i) for j in range(spec.n)))
                      for i in sorted(trace.index_set)]
-            bodies = [rs.objective_restriction, *rs.polytopes]
             want = q_exponent(l + 1, bodies, LatticeFrame.span_of(units, spec.n))
         else:
+            assert trace.face_dims == tuple(dim(face(P, trace.alpha).face)
+                                            for P in bodies)
             frame = stratum_frame(trace.index_set, trace.alpha, spec.n)
             faces = [face(P, trace.alpha).face for P in rs.polytopes]
             if spec.objective is None:
@@ -618,3 +624,26 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
     assert calls == {"reduce": 30, "kernel": 0}
+
+
+def test_newton_polytopes_are_built_once_per_system(monkeypatch):
+    # the strata restrict the spec's polytopes; none is rebuilt per stratum
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return newton_polytope(p)
+
+    newton_polytope = systems.newton_polytope
+    monkeypatch.setattr(systems, "newton_polytope", counted)
+    deformation = SystemSpec.from_supports(
+        4, [[[1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]],
+            [[0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 2]]])
+    zeta_deformation(deformation, "origin", "affine")
+    assert built == list(deformation.constraints)
+    built.clear()
+    polynomial = SystemSpec.from_supports(
+        4, [[[1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]]],
+        objective_support=[[0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 2]])
+    zeta_polynomial(polynomial, "affine")
+    assert built == [*polynomial.constraints, polynomial.objective]

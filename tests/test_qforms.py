@@ -108,6 +108,8 @@ def test_q_exponent_frame_rank_mismatch():
     frame = LatticeFrame.standard(2)
     with pytest.raises(ValueError, match="frame rank"):
         q_exponent(1, [P((0, 0), (1, 0))], frame)
+    with pytest.raises(ValueError, match="frame rank"):
+        q_exponent(0, [P((0, 0, 0), (1, 0, 0))], LatticeFrame.standard(3))
 
 
 def test_q_tilde_degree_zero():
@@ -251,6 +253,14 @@ def _exponent_cases(draw):
     return l, [P(*body) for body in bodies]
 
 
+def _cayley_sum(faces, frame):
+    """The Cayley route on its own, for any k: ``_cayley_sum_of`` on the
+    sorted canonical key that ``volumes._frame_sum`` builds (index 1)."""
+    key = tuple(sorted(volumes._canonical_pts(volumes._reduce_to_frame(f, frame))
+                       for f in faces))
+    return volumes._cayley_sum_of(key, frame.rank)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_exponent_cases())
 def test_cayley_sums_match_composition_oracle(case):
@@ -260,7 +270,7 @@ def test_cayley_sums_match_composition_oracle(case):
     frame = LatticeFrame.standard(l)
     want = q_exponent_by_compositions(l, faces, frame)
     assert q_exponent(l, faces, frame) == want
-    assert volumes._frame_sum(volumes._cayley_sum_of, faces, frame) == want
+    assert _cayley_sum(faces, frame) == want
 
 
 def test_degenerate_lift_is_lifted_again(monkeypatch):
@@ -288,6 +298,6 @@ def test_degenerate_lift_is_lifted_again(monkeypatch):
         volumes._cayley_sum_of.cache_clear()
         relifts.clear()
         frame = LatticeFrame.standard(l)
-        value = volumes._frame_sum(volumes._cayley_sum_of, faces, frame)
+        value = _cayley_sum(faces, frame)
         assert len(relifts) == 1
         assert value == q_exponent_by_compositions(l, faces, frame)
