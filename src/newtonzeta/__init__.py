@@ -8,93 +8,26 @@ from the Newton polytopes of the input.  Lattice-normalized mixed
 volumes, an independent lattice-point-counting volume oracle, the cone
 construction, and Euler-characteristic identities provide built-in
 cross-validation.
+
+Each public name is listed once, in its module's ``__all__``; the
+package republishes those lists.
 """
 
-from .lattice import (
-    Covector,
-    IntPoint,
-    LatticeFrame,
-    orthogonal_line_generators,
-    primitive_part,
-    saturated_basis,
-)
-from .polytope import (
-    FaceRecord,
-    LatticePolytope,
-    dim,
-    face,
-    facet_normals,
-    hull,
-    minkowski_sum,
-    restrict_to_index_set,
-    support_min,
-)
-from .volumes import (
-    lattice_point_volume_oracle,
-    lattice_volume,
-    mixed_volume_of,
-)
-from .qforms import q_exponent, q_tilde_exponent
-from .systems import (
-    ParseError,
-    PolynomialInput,
-    RestrictedSystem,
-    SystemSpec,
-    cone_system,
-    fiber_polytopes,
-    format_polynomial,
-    newton_polytope,
-    parse_polynomial,
-    restrict_system,
-)
-from .engine import (
-    ContributionTrace,
-    ZetaProduct,
-    candidate_covectors,
-    euler_ci_torus,
-    zeta_deformation,
-    zeta_polynomial,
-    zeta_polynomial_via_cone,
-)
+from . import engine, lattice, polytope, qforms, systems, volumes
+from .engine import *
+from .lattice import *
+from .polytope import *
+from .qforms import *
+from .systems import *
+from .volumes import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Covector",
-    "IntPoint",
-    "LatticeFrame",
-    "orthogonal_line_generators",
-    "primitive_part",
-    "saturated_basis",
-    "FaceRecord",
-    "LatticePolytope",
-    "dim",
-    "face",
-    "facet_normals",
-    "hull",
-    "minkowski_sum",
-    "restrict_to_index_set",
-    "support_min",
-    "lattice_point_volume_oracle",
-    "lattice_volume",
-    "mixed_volume_of",
-    "q_exponent",
-    "q_tilde_exponent",
-    "ParseError",
-    "PolynomialInput",
-    "RestrictedSystem",
-    "SystemSpec",
-    "cone_system",
-    "fiber_polytopes",
-    "format_polynomial",
-    "newton_polytope",
-    "parse_polynomial",
-    "restrict_system",
-    "ContributionTrace",
-    "ZetaProduct",
-    "candidate_covectors",
-    "euler_ci_torus",
-    "zeta_deformation",
-    "zeta_polynomial",
-    "zeta_polynomial_via_cone",
+    *lattice.__all__,
+    *polytope.__all__,
+    *volumes.__all__,
+    *qforms.__all__,
+    *systems.__all__,
+    *engine.__all__,
 ]

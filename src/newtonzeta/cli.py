@@ -113,7 +113,7 @@ def _permutation_for(variables: Sequence[str], deform_var: str) -> list[int]:
 
 def _permute_poly(p: PolynomialInput, perm: Sequence[int]) -> PolynomialInput:
     return PolynomialInput.from_dict(
-        {tuple(e[i] for i in perm): c for e, c in p.terms}, p.n, p.source_text
+        {tuple(e[i] for i in perm): c for e, c in p.terms}, p.n
     )
 
 
@@ -197,7 +197,6 @@ class Job:
                 constraints=tuple(self.constraints),
                 objective=self.objective,
                 nondegeneracy_acknowledged=self.assume,
-                variables=tuple(self.variables),
             )
         except ValueError as exc:
             raise _fail("constraints", str(exc)) from exc

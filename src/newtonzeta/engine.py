@@ -380,6 +380,4 @@ def euler_ci_torus(polytopes: Sequence[LatticePolytope], n: int) -> int:
     bodies = list(polytopes)
     if len(bodies) > n:
         raise ValueError("more equations than torus dimension")
-    if any(P.is_empty for P in bodies):
-        return 0
     return q_exponent(n, bodies, LatticeFrame.standard(n))

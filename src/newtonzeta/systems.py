@@ -56,7 +56,6 @@ class PolynomialInput:
 
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
     n: int
-    source_text: str | None = None
 
     def __post_init__(self):
         if not self.terms:
@@ -75,15 +74,12 @@ class PolynomialInput:
 
     @classmethod
     def from_dict(
-        cls,
-        terms: Mapping[tuple[int, ...], Fraction | int],
-        n: int,
-        source_text: str | None = None,
+        cls, terms: Mapping[tuple[int, ...], Fraction | int], n: int
     ) -> "PolynomialInput":
         items = tuple(
             sorted((tuple(e), Fraction(c)) for e, c in terms.items() if c != 0)
         )
-        return cls(items, n, source_text)
+        return cls(items, n)
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return {e: c for e, c in self.terms}
@@ -107,9 +103,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("NUM", text[i:j], i))
             i = j
@@ -320,7 +316,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> PolynomialInput:
     if not terms:
         raise ParseError("zero polynomial", 0)
     _check_coefficients(terms, 0)
-    return PolynomialInput.from_dict(terms, len(list(variables)), source_text=text)
+    return PolynomialInput.from_dict(terms, len(list(variables)))
 
 
 def format_polynomial(p: PolynomialInput, variables: Sequence[str]) -> str:
@@ -374,7 +370,6 @@ class SystemSpec:
     constraints: tuple[PolynomialInput, ...]
     objective: PolynomialInput | None = None
     nondegeneracy_acknowledged: bool = False
-    variables: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -390,19 +385,6 @@ class SystemSpec:
                 raise ValueError("constraint dimension does not match n")
         if self.objective is not None and self.objective.n != self.n:
             raise ValueError("objective dimension does not match n")
-        if self.variables is not None:
-            vars_t = tuple(self.variables)
-            if len(vars_t) != self.n:
-                raise ValueError("variable list length does not match n")
-            object.__setattr__(self, "variables", vars_t)
-
-    @property
-    def mode(self) -> str:
-        return "polynomial" if self.objective is not None else "deformation"
-
-    @property
-    def k(self) -> int:
-        return len(self.constraints)
 
     @cached_property
     def newton_polytopes(self) -> tuple[LatticePolytope, ...]:
@@ -417,7 +399,6 @@ class SystemSpec:
         constraint_supports: Sequence[Sequence[Sequence[int]]],
         objective_support: Sequence[Sequence[int]] | None = None,
         nondegeneracy_acknowledged: bool = False,
-        variables: Sequence[str] | None = None,
     ) -> "SystemSpec":
         """Raw-support entry: exponent vectors with dummy coefficients 1."""
 
@@ -431,7 +412,6 @@ class SystemSpec:
             constraints=tuple(poly(s) for s in constraint_supports),
             objective=poly(objective_support) if objective_support is not None else None,
             nondegeneracy_acknowledged=nondegeneracy_acknowledged,
-            variables=tuple(variables) if variables is not None else None,
         )
 
 
@@ -484,17 +464,6 @@ def restrict_system(spec: SystemSpec, index_set: Iterable[int]) -> RestrictedSys
     )
 
 
-def _fresh_variable(existing: Sequence[str] | None) -> str:
-    taken = set(existing or ())
-    for name in ("t", "w", "u", "s"):
-        if name not in taken:
-            return name
-    i = 0
-    while f"t{i}" in taken:
-        i += 1
-    return f"t{i}"
-
-
 def cone_system(spec: SystemSpec) -> SystemSpec:
     """Trade the objective for one extra constraint in one extra variable.
 
@@ -507,25 +476,18 @@ def cone_system(spec: SystemSpec) -> SystemSpec:
     n1 = spec.n + 1
 
     def lift(p: PolynomialInput) -> PolynomialInput:
-        return PolynomialInput.from_dict(
-            {e + (0,): c for e, c in p.terms}, n1, p.source_text
-        )
+        return PolynomialInput.from_dict({e + (0,): c for e, c in p.terms}, n1)
 
     lifted = [lift(c) for c in spec.constraints]
     new_terms = {e + (0,): c for e, c in spec.objective.terms}
     apex = tuple(0 for _ in range(spec.n)) + (1,)
     new_terms[apex] = Fraction(-1)
     last = PolynomialInput.from_dict(new_terms, n1)
-
-    variables = None
-    if spec.variables is not None:
-        variables = spec.variables + (_fresh_variable(spec.variables),)
     cone = SystemSpec(
         n=n1,
         constraints=tuple(lifted) + (last,),
         objective=None,
         nondegeneracy_acknowledged=spec.nondegeneracy_acknowledged,
-        variables=variables,
     )
     expected = hull(
         [IntPoint(e + (0,)) for e, _ in spec.objective.terms] + [IntPoint(apex)]

@@ -105,6 +105,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert "position" in err
 
 
+def test_non_decimal_digit_is_parse_error(tmp_path, capsys):
+    path = write_job(tmp_path, {"n": 1, "constraints": ["2²*z1 + 1"]})
+    code, out, err = run_cli(capsys, ["deform-origin", path])
+    assert code == 2
+    assert "unexpected character '²' (at position 1)" in err
+
+
 def test_oversized_literals_are_input_errors(tmp_path, capsys):
     # past Python's int() digit limit: a parse error, not an internal one
     digits = "7" * 5000

@@ -104,6 +104,16 @@ def test_parse_zero_denominator_rejected():
         parse_polynomial("1/0 + z1", ["z1"])
 
 
+def test_parse_reads_only_decimal_digits():
+    # superscripts and subscripts pass str.isdigit() but not int()
+    for text, char, position in (("2²", "²", 1), ("z1^²", "²", 3), ("₂*z1", "₂", 0)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ["z1"])
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+        assert err.value.position == position
+    assert parse_polynomial("٣*z1", ["z1"]).as_dict() == {(1,): 3}
+
+
 @st.composite
 def small_polynomials(draw):
     n = draw(st.integers(1, 3))
@@ -126,6 +136,14 @@ def test_format_parse_round_trip(p):
     text = format_polynomial(p, variables)
     again = parse_polynomial(text, variables)
     assert again.as_dict() == p.as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polynomials())
+def test_polynomial_is_its_terms(p):
+    variables = [f"z{i+1}" for i in range(p.n)]
+    assert parse_polynomial(format_polynomial(p, variables), variables) == p
+    assert PolynomialInput.from_dict(p.as_dict(), p.n) == p
 
 
 def test_newton_polytope_examples():
@@ -235,12 +253,10 @@ def test_cone_system_keeps_constraints_and_names():
         n=2,
         constraints=(parse_polynomial("z1 + z2*(1+z1^2)", ["z1", "z2"]),),
         objective=parse_polynomial("z2", ["z1", "z2"]),
-        variables=("z1", "z2"),
     )
     lifted = cone_system(spec)
     assert lifted.n == 3
     assert len(lifted.constraints) == 2
-    assert lifted.variables is not None and len(lifted.variables) == 3
     last = lifted.constraints[-1]
     assert last.as_dict() == {(0, 1, 0): 1, (0, 0, 1): -1}
 
