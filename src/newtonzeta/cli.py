@@ -29,6 +29,7 @@ from .systems import (
     ParseError,
     PolynomialInput,
     SystemSpec,
+    _tokenize,
     format_polynomial,
     newton_polytope,
     parse_polynomial,
@@ -104,6 +105,15 @@ def _load_polynomial(
     return PolynomialInput.from_dict({e: Fraction(1) for e in exps}, n)
 
 
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is exactly one NAME token of the polynomial grammar."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("NAME", text)
+
+
 def _permutation_for(variables: Sequence[str], deform_var: str) -> list[int]:
     if deform_var not in variables:
         raise _fail("options.deform_var", f"unknown variable {deform_var!r}")
@@ -144,6 +154,9 @@ class Job:
             and len(set(variables)) == n,
             "variables", f"expected {n} distinct variable names",
         )
+        _expect(all(map(_is_name, variables)), "variables",
+                "a variable name is a letter or underscore, then letters, "
+                "digits or underscores")
         self.variables = list(variables)
 
         options = data.get("options", {})

@@ -8,10 +8,11 @@ compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
 mixed cells of one lifted Cayley hull of the faces, so no composition
 is enumerated and no mixed volume is taken on its own.  For k = l
 bodies the only composition is (1, ..., 1) and the sum is the one mixed
-volume l! MV(F_1, ..., F_l), measured by polarization, whose cost does
-not grow with the cells of the Cayley hull that are not mixed.  The
-route and the zero cases are chosen in one place, ``volumes._frame_sum``,
-which ``volumes.mixed_volume_of`` shares.
+volume l! MV(F_1, ..., F_l), measured by the mixed-area recursion over
+the facets of a sum of l - 1 faces, whose cost does not grow with the
+cells of the Cayley hull that are not mixed.  The route and the zero
+cases are chosen in one place, ``volumes._frame_sum``, which
+``volumes.mixed_volume_of`` shares.
 """
 
 from __future__ import annotations

@@ -30,15 +30,18 @@ canonical input, so a run is deterministic, and genericity is checked
 exactly: a lift with a lower facet of more than l + k vertices is
 replaced by the next one.  The value does not depend on the lift.
 
-Mixed volumes, the case k = l, keep the polarization l! MV(F_1, ...,
-F_l) = sum_S (-1)^(l-|S|) l! Vol_l(sum_{i in S} F_i) over the 2^l - 1
-nonempty subsets S (``_dilation_sum_of``).  The Cayley route gives the
-same number, but it triangulates the whole Cayley polytope while only
-the mixed cells count (four 4-boxes lift to about 710 lower cells,
-16-18 of them mixed), and whole Newton polytopes reach k = l
-(``engine.euler_ci_torus``, the engine's boundary factors).
-``_frame_sum`` is the one place that decides the zero cases and the
-route, for ``mixed_volume_of`` and ``qforms.q_exponent`` alike.
+Mixed volumes, the case k = l, come from Minkowski's mixed-area
+recursion (Schneider, Convex Bodies: The Brunn-Minkowski Theory, 5.1):
+with P one body and Q the sum of the other l - 1, l! MV is the sum over
+the facets a.x >= b of Q (a primitive) of -min_P a times the (l-1)! MV
+of the other bodies' faces at a, in the hyperplane lattice of a
+(``_mixed_sum_of``).  One sum is built, of l - 1 bodies, where a
+polarization hulls and measures all 2^l - 1 subset sums, and only mixed
+terms are measured, where the Cayley route triangulates every cell of
+the Cayley polytope (four 4-boxes lift to about 710 lower cells, 16-18
+of them mixed).  ``_frame_sum`` is the
+one place that decides the zero cases and the route, for
+``mixed_volume_of`` and ``qforms.q_exponent`` alike.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
@@ -47,9 +50,10 @@ by ``polytope._MEMO_SIZE``.  Each measured body runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
 the vertices that extend it and the facets that measure it.  A lifted
 Cayley set is seen once, and its double description bypasses that
-memo.  ``lattice_volume`` tests the rank once, ``_cayley_sum_of`` once,
-and ``_dilation_sum_of`` once per subset; the recursion below does not,
-because a facet of a full-rank body projects to a full-rank body.
+memo.  ``lattice_volume`` and ``_cayley_sum_of`` test the rank once,
+``_mixed_sum_of`` only when its sum has no facets, and the recursion of
+``_pyramid_sum`` never, because a facet of a full-rank body projects to
+a full-rank body.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, gcd, prod
 from typing import Iterator, Sequence
 
@@ -145,7 +148,7 @@ def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int
     The one place that chooses the route: no body gives the empty
     product, 1 in degree 0 and 0 above; more than l bodies or an empty
     one give 0; otherwise the memo is ``_cayley_sum_of`` for k < l and
-    ``_dilation_sum_of`` for k = l.  It is keyed by the sorted canonical
+    ``_mixed_sum_of`` for k = l.  It is keyed by the sorted canonical
     projected point sets, so it is looked up before any work is done;
     its sum is ``frame.index`` times the frame's.
     """
@@ -156,7 +159,7 @@ def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int
         return 0
     bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
                           for P in polytopes))
-    sum_of = _cayley_sum_of if k < l else _dilation_sum_of
+    sum_of = _cayley_sum_of if k < l else _mixed_sum_of
     result, rem = divmod(sum_of(bodies, l), frame.index)
     assert rem == 0, "exponent sum failed to be a multiple of the index"
     return result
@@ -216,35 +219,58 @@ def _cayley_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _dilation_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
-    """l! MV of l canonical bodies in Z^l, by polarization.
+def _mixed_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
+    """l! MV of l canonical bodies in Z^l, by the mixed-area recursion.
 
-    The sum over the nonempty subsets S of (-1)^(l-|S|) Vol_l of the sum
-    of the bodies in S.  It is 0 unless those bodies (each holds the
-    origin) span Q^l: one rank test per subset.  Each subset sum is built
-    once, from the ``_dd`` vertices of the sum for its prefix, and kept
-    as its canonical raw Minkowski points for ``_pyramid_sum``.
+    With P = bodies[0] and Q the sum of the others, it is the sum over
+    the facets a.x >= b of Q of -min_P a times the (l-1)! MV of the
+    others' faces at a, in a's hyperplane lattice.  Q sums the distinct
+    others only, which has the same facet normals, built from the
+    ``_dd`` vertices of each prefix.  A Q of rank l - 1 has one
+    primitive normal u, and gives the width of P along u times the
+    measure of the others in u's hyperplane; a lower rank gives 0.  A
+    point body gives 0, a facet on which P's minimum is 0 or where a
+    face is a point adds 0, and l = 1 is the lattice length of P.
+    Minkowski's relation, sum_a a MV(faces at a) = 0, makes the sum
+    independent of where P lies, so the canonical keys are sound.
     """
-    sums: dict[tuple[int, ...], tuple[Vec, ...]] = {(): ((0,) * l,)}
+    if any(len(body) == 1 for body in bodies):
+        return 0
+    last, rest = bodies[0], bodies[1:]
+    if l == 1:
+        return last[-1][0]
+
+    def measure(a: Vec, faces: Sequence[Sequence[Vec]]) -> int:
+        return _hyperplane_measure(a, faces, lambda projected: _mixed_sum_of(
+            tuple(sorted(map(_canonical_pts, projected))), l - 1))
+
+    distinct = list(dict.fromkeys(rest))
+    pts = distinct[0]
+    for body in distinct[1:]:
+        pts = _canonical_pts([tuple(x + y for x, y in zip(pts[i], q))
+                              for i in _dd(pts, l)[0] for q in body])
+    facets = _dd(pts, l)[1]
+    if not facets:
+        pivots, normals = _column_reduce(pts, l)
+        if len(pivots) < l - 1:
+            return 0
+        (u,) = normals
+        heights = [_dot(u, p) for p in last]
+        return (max(heights) - min(heights)) * measure(u, rest)
     total = 0
-    for b in product((0, 1), repeat=l):
-        support = [p for t, body in zip(b, bodies) if t for p in body]
-        if not support or _rank(support) < l:
+    for a, _b in facets:
+        low = min(_dot(a, p) for p in last)
+        if not low:
             continue
-        pts = sums[()]
-        for j, t in enumerate(b):
-            nxt = sums.get(b[: j + 1])
-            if nxt is None:
-                nxt = pts if t == 0 else _canonical_pts(
-                    [tuple(x + y for x, y in zip(pts[i], q))
-                     for i in _dd(pts, l)[0] for q in bodies[j]]
-                )
-                sums[b[: j + 1]] = nxt
-            pts = nxt
-        total += (-1) ** (l - sum(b)) * _pyramid_sum(pts, l)
-    result, rem = divmod(total, factorial(l))
-    assert rem == 0, "polarization failed to be integral"
-    return result
+        face_of = {}
+        for body in distinct:
+            heights = [_dot(a, p) for p in body]
+            h = min(heights)
+            face_of[body] = [p for p, t in zip(body, heights) if t == h]
+        if any(len(f) == 1 for f in face_of.values()):
+            continue
+        total -= low * measure(a, [face_of[body] for body in rest])
+    return total
 
 
 def mixed_volume_of(
@@ -252,9 +278,9 @@ def mixed_volume_of(
 ) -> int:
     """l! times the lattice mixed volume of l bodies in an l-frame.
 
-    Polarization over the 2^l - 1 nonempty subsets (``_dilation_sum_of``,
-    through ``_frame_sum``).  Symmetric, integer, nonnegative.  Any empty
-    body gives 0, and no body in rank 0 gives 1.
+    The mixed-area recursion over the facets of a sum of l - 1 bodies
+    (``_mixed_sum_of``, through ``_frame_sum``).  Symmetric, integer,
+    nonnegative.  Any empty body gives 0, and no body in rank 0 gives 1.
     """
     if len(polytopes) != frame.rank:
         raise ValueError("number of bodies must equal the frame rank")

@@ -203,6 +203,20 @@ def test_schema_error_has_field_path(tmp_path, capsys):
         assert field in err, (job, task)
 
 
+def test_variable_names_must_reparse(tmp_path, capsys):
+    # each name is one name token of the polynomial grammar, so the
+    # printed polynomials parse back
+    for names in (["a+b", "c"], ["x", " y"], ["", "c"], ["1a", "c"], ["x.y", "c"]):
+        job = {"n": 2, "variables": names, "constraints": [[[1, 0], [0, 2]]]}
+        code, out, err = run_cli(capsys, ["info", write_job(tmp_path, job)])
+        assert code == 2, names
+        assert "variables:" in err and out == "", names
+    job = {"n": 2, "variables": ["_a1", "b"], "constraints": [[[1, 0], [0, 2]]]}
+    code, out, err = run_cli(capsys, ["info", write_job(tmp_path, job)])
+    assert code == 0
+    assert json.loads(out)["constraints"][0]["text"] == "_a1 + b^2"
+
+
 def test_malformed_documents_are_input_errors(tmp_path, capsys):
     # nesting past the JSON decoder's recursion, bytes that are not UTF-8,
     # and an integer past Python's 4300-digit int() limit

@@ -264,8 +264,8 @@ def _cayley_sum(faces, frame):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_exponent_cases())
 def test_cayley_sums_match_composition_oracle(case):
-    # q_exponent measures k = l by polarization, so the Cayley sum is
-    # also taken directly: it must hold for every k <= l
+    # q_exponent measures k = l by the mixed-area recursion, so the
+    # Cayley sum is also taken directly: it must hold for every k <= l
     l, faces = case
     frame = LatticeFrame.standard(l)
     want = q_exponent_by_compositions(l, faces, frame)

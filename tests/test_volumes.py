@@ -6,6 +6,7 @@ from itertools import product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newtonzeta import (
     IntPoint,
@@ -18,9 +19,12 @@ from newtonzeta import (
     mixed_volume_of,
     q_exponent,
 )
+from newtonzeta import volumes
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _count_lattice_points
+from perfbench.checks import bezout, permanent
 from tests.conftest import random_polytope
+from tests.oracle import _rank, mixed_volume_by_subsets
 
 
 def P(*coords):
@@ -283,3 +287,89 @@ def test_pyramid_volumes_match_counting_and_closed_forms():
     Q = P(*tri)
     frame = LatticeFrame.standard(2)
     assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame) == 3
+
+
+@st.composite
+def _mixed_cases(draw):
+    """l <= 4 bodies of points of a small box, the first one P kept apart.
+
+    Bodies are points, segments or 3-4 points, some repeat an earlier one
+    shifted, and all are translated.  In "flat" cases the bodies after P
+    lie in the hyperplane u.x = 0, u = e_l or e_l - e_1, so that their
+    sum has rank l - 1 or less; "low" cases (l >= 3) also keep x_1 = 0,
+    a rank of l - 2 or less.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    l = rng.randint(1, 4)
+    modes = ["free", "free", "flat", "low"][: 1 if l == 1 else 3 if l == 2 else 4]
+    mode = rng.choice(modes)
+    u = rng.choice([(0,) * (l - 1) + (1,), (-1,) + (0,) * (l - 2) + (1,)])
+    hi = 2 if l < 4 else 1  # keeps the oracle's 2^l subset sums small
+    box = list(product(range(hi + 1), repeat=l))
+    flat = [p for p in box if sum(a * b for a, b in zip(u, p)) == 0
+            and (mode != "low" or p[0] == 0)]
+    bodies = []
+    for i in range(l):
+        pool = box if i == 0 or mode == "free" else flat
+        repeats = bodies if mode == "free" else bodies[1:]
+        if repeats and rng.randrange(4) == 0:
+            bodies.append(rng.choice(repeats))
+            continue
+        size = 1 if rng.randrange(10) == 0 else rng.randint(2, 4)
+        bodies.append(rng.sample(pool, min(size, len(pool))))
+    placed = []
+    for pts in bodies:
+        shift = [rng.randint(-2, 2) for _ in range(l)]
+        placed.append(P(*[tuple(c + s for c, s in zip(p, shift)) for p in pts]))
+    return l, placed
+
+
+def test_mixed_sums_match_subset_oracle():
+    # both the sorted key of mixed_volume_of and the drawn order, whose
+    # first body is the one measured by its support on the others' facets
+    branches = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mixed_cases())
+    def check(case):
+        l, bodies = case
+        frame = LatticeFrame.standard(l)
+        want = mixed_volume_by_subsets(bodies, frame)
+        assert mixed_volume_of(bodies, frame) == want
+        key = tuple(volumes._canonical_pts(volumes._reduce_to_frame(B, frame))
+                    for B in bodies)
+        assert volumes._mixed_sum_of(key, l) == want
+        if l == 1:
+            branches.add("length")
+        elif any(len(body) == 1 for body in key):
+            branches.add("point")
+        else:
+            rank = _rank([p for body in key[1:] for p in body])
+            branches.add({l: "facets", l - 1: "flat"}.get(rank, "low"))
+
+    check()
+    assert branches == {"length", "point", "facets", "flat", "low"}
+
+
+def test_mixed_volumes_in_five_dimensions_match_closed_forms():
+    # one unimodular map for all bodies, a shift for each: boxes give the
+    # permanent of their side lengths, dilated simplices the Bezout product
+    rng = random.Random(55)
+    frame = LatticeFrame.standard(5)
+    U = _random_unimodular(rng, 5)
+
+    def placed(pts):
+        shift = [rng.randint(-3, 3) for _ in range(5)]
+        return hull([IntPoint(tuple(s + sum(U[r][c] * p[c] for c in range(5))
+                                    for r, s in enumerate(shift)))
+                     for p in pts])
+
+    for _ in range(2):
+        sides = [[rng.randint(1, 3) for _ in range(5)] for _ in range(5)]
+        boxes = [placed(list(product(*[(0, a) for a in row]))) for row in sides]
+        assert mixed_volume_of(boxes, frame) == permanent(sides)
+        dilations = [rng.randint(1, 3) for _ in range(5)]
+        simplices = [placed([(0,) * 5] + [tuple(a * (i == j) for j in range(5))
+                                          for i in range(5)])
+                     for a in dilations]
+        assert mixed_volume_of(simplices, frame) == bezout(dilations)
