@@ -9,7 +9,7 @@ reduction, of the basis transpose, picks the coordinates to keep and the
 index of the projected lattice, so no vertex is solved for.  A
 hyperplane with a primitive normal a needs no reduction at all: delete
 the coordinate of smallest nonzero |a_j| and divide by |a_j|
-(``_hyperplane_measure``, shared by facet pyramids and strata).
+(``_hyperplane_measure``, shared by the mixed-area recursion and strata).
 
 Points and covectors are deliberately distinct types even though both
 wrap integer vectors: the only pairing the code ever performs is

@@ -57,14 +57,12 @@ Vec = tuple[int, ...]
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
 # over seeds 1-10 of every benchmark workload the largest round holds
 # 624 entries in ``_dd`` (polyzeta-cone), 562 in ``_cayley_sum_of``
-# (deform-affine) and 267 in ``_mixed_sum_of`` (mixedvol-d4), and none
-# in ``_pyramid_sum``, which only ``lattice_volume`` calls; so no round
-# evicts, and the lifted Cayley sets bypass ``_dd``.  At the largest
-# measured bytes per entry (tracemalloc's drop on each ``cache_clear()``,
-# ``_dd`` cleared last: 6.4 KB ``_dd`` and 1.1 KB ``_mixed_sum_of``, both
-# mixedvol-d4, 0.7 KB ``_cayley_sum_of``, deform-affine, and 0.2 KB
-# ``_pyramid_sum`` on the volumes of mixedvol-d4's four-body sums), the
-# four memos hold about 70 MB when full.
+# (deform-affine) and 267 in ``_mixed_sum_of`` (mixedvol-d4), so no
+# round evicts, and the lifted Cayley sets bypass ``_dd``.  At the
+# largest measured bytes per entry (tracemalloc's drop on each
+# ``cache_clear()``, ``_dd`` cleared last: 6.4 KB ``_dd`` and 1.1 KB
+# ``_mixed_sum_of``, both mixedvol-d4, and 0.7 KB ``_cayley_sum_of``,
+# deform-affine), the three memos hold about 67 MB when full.
 _MEMO_SIZE = 8192
 
 

@@ -4,15 +4,10 @@ Volumes are normalized to the lattice of a saturated frame, and
 measured by coordinate projection: a body's differences are kept on the
 frame's ``coords``, where the frame lattice has index ``frame.index``,
 so each volume, mixed volume and exponent (the projection is linear and
-commutes with Minkowski sums) is divided by it.  ``_pyramid_sum``
-returns the integer l! Vol_l as a sum of lattice pyramids over the
-facets (Lasserre's facet recursion): with a vertex v0 as apex, a facet
-a.x >= b with primitive a adds the lattice distance a.v0 - b times the
-(l-1)! Vol_{l-1} of the facet in its own hyperplane lattice.  Facets
-through v0 have height zero and are skipped.  The facet is measured by
+commutes with Minkowski sums) is divided by it.  A facet is measured by
 ``lattice._hyperplane_measure``: delete the coordinate j of smallest
-nonzero |a_j|, and divide the projection's (l-1)! Vol_{l-1} by |a_j|,
-the index of the projected hyperplane lattice.
+nonzero |a_j| of its primitive normal a, and divide the projection's
+(l-1)! measure by |a_j|, the index of the projected hyperplane lattice.
 
 The q-exponents of ``qforms`` are (-1)^(l-k) sum_a l! MV(F^a) over the
 compositions a >= 1 of l, body F_i of k bodies taken a_i times.
@@ -39,9 +34,12 @@ of the other bodies' faces at a, in the hyperplane lattice of a
 polarization hulls and measures all 2^l - 1 subset sums, and only mixed
 terms are measured, where the Cayley route triangulates every cell of
 the Cayley polytope (four 4-boxes lift to about 710 lower cells, 16-18
-of them mixed).  ``_frame_sum`` is the
-one place that decides the zero cases and the route, for
-``mixed_volume_of`` and ``qforms.q_exponent`` alike.
+of them mixed).  A volume is the mixed volume of l copies of one body,
+and the recursion then reads l! Vol_l as a sum of lattice pyramids over
+its facets, with apex the origin (Lasserre's facet recursion).
+``_frame_sum`` is the one place that decides the zero cases and the
+route, for ``lattice_volume``, ``mixed_volume_of`` and
+``qforms.q_exponent`` alike.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
@@ -50,10 +48,8 @@ by ``polytope._MEMO_SIZE``.  Each measured body runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
 the vertices that extend it and the facets that measure it.  A lifted
 Cayley set is seen once, and its double description bypasses that
-memo.  ``lattice_volume`` and ``_cayley_sum_of`` test the rank once,
-``_mixed_sum_of`` only when its sum has no facets, and the recursion of
-``_pyramid_sum`` never, because a facet of a full-rank body projects to
-a full-rank body.
+memo.  ``_cayley_sum_of`` tests the rank once, and ``_mixed_sum_of``
+only when its sum has no facets.
 """
 
 from __future__ import annotations
@@ -104,25 +100,6 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(_sub(p, base) for p in uniq)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _pyramid_sum(pts: tuple[Vec, ...], l: int) -> int:
-    """l! Vol_l of any full-rank canonical pts, summed over the facets.
-
-    Facets and their vertices come from ``_dd(pts, l)``.  The apex pts[0],
-    the lexicographic minimum, is the origin and always a vertex.
-    """
-    if l == 0:
-        return 1
-    vol = 0
-    # the apex is at lattice distance -b from a facet
-    for (a, b), tset in zip(*_dd(pts, l)[1:]):
-        if b:
-            vol -= b * _hyperplane_measure(
-                a, [[pts[i] for i in tset]],
-                lambda facet: _pyramid_sum(_canonical_pts(facet[0]), l - 1))
-    return vol
-
-
 # ---------------------------------------------------------------------------
 # public volume operations
 # ---------------------------------------------------------------------------
@@ -130,15 +107,16 @@ def _pyramid_sum(pts: tuple[Vec, ...], l: int) -> int:
 def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     """Normalized l-dimensional volume of P in the frame (l = frame rank).
 
-    Zero when the polytope has affine dimension below l; the unit lattice
-    cube of the frame has volume 1, so the unit l-simplex measures 1/l!.
+    The mixed volume of l copies of P.  Zero when the polytope has affine
+    dimension below l; the unit lattice cube of the frame has volume 1,
+    so the unit l-simplex measures 1/l!.
     """
     if P.is_empty:
         raise ValueError("volume of empty polytope")
     l = frame.rank
-    extremes = _canonical_pts(_reduce_to_frame(P, frame))
-    vol = _pyramid_sum(extremes, l) if _rank(extremes[1:]) == l else 0
-    return Fraction(vol, factorial(l) * frame.index)
+    if l == 0:
+        _reduce_to_frame(P, frame)  # no copy is measured, but P must fit
+    return Fraction(_frame_sum([P] * l, frame), factorial(l))
 
 
 def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int:

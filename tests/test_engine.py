@@ -602,8 +602,7 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # a cold n = 3 deformation reads each hyperplane lattice off its
     # covector, among them (0, 2, 3) and (3, 2, 3) of index 2; a kernel
     # frame per covector made 5 kernels and 40 reductions here
-    for memo in (polytope._dd, volumes._pyramid_sum, volumes._mixed_sum_of,
-                 volumes._cayley_sum_of):
+    for memo in (polytope._dd, volumes._mixed_sum_of, volumes._cayley_sum_of):
         memo.cache_clear()
     calls = {"reduce": 0, "kernel": 0}
 

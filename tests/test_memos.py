@@ -10,13 +10,11 @@ import random
 import sys
 from functools import lru_cache
 
-from newtonzeta import (LatticeFrame, lattice_volume, mixed_volume_of, zeta_deformation,
-                        zeta_polynomial)
+from newtonzeta import LatticeFrame, mixed_volume_of, zeta_deformation, zeta_polynomial
 from tests.conftest import deformation_corpus, random_polytope, route_corpus
 
 MEMOS = {
     "newtonzeta.polytope._dd",
-    "newtonzeta.volumes._pyramid_sum",
     "newtonzeta.volumes._mixed_sum_of",
     "newtonzeta.volumes._cayley_sum_of",
 }
@@ -47,10 +45,6 @@ def computations():
         bodies = [random_polytope(rng, d, npts=d + 1) for _ in range(d)]
         jobs.append(lambda bodies=bodies, d=d:
                     mixed_volume_of(bodies, LatticeFrame.standard(d)))
-    # lattice_volume is the one caller of _pyramid_sum
-    for d in (2, 3, 3, 4):
-        body = random_polytope(rng, d, npts=d + 3)
-        jobs.append(lambda body=body, d=d: lattice_volume(body, LatticeFrame.standard(d)))
     return jobs
 
 
