@@ -5,10 +5,14 @@ The result of every computation is a formal product prod (1 - t^m)^e
 with integer exponents.  Factors are indexed by strata (coordinate
 subspaces) and by primitive covectors; the covector enumeration is the
 load-bearing step, so its completeness argument is spelled out at
-``candidate_covectors``.  Each stratum I is measured in its own
-coordinates: the faces at a covector alpha are taken on the coordinates
-of I less the one ``lattice._hyperplane_measure`` deletes, measured in
-the standard frame, and divided by the index of alpha's hyperplane.
+``candidate_covectors``.  ``_over_strata`` reads each Newton polytope
+once per stratum I, as its vertices in I's subspace on the coordinates
+of I; that one reading gives the covectors, the faces at each, the
+objective's power and the boundary factor, and it skips, before any
+hull, a stratum whose every exponent is 0 by its count of bodies or by
+a point body.  The faces at a covector alpha are taken on the
+coordinates of I less the one ``lattice._hyperplane_measure`` deletes,
+in the standard frame, and divided by the index of alpha's hyperplane.
 """
 
 from __future__ import annotations
@@ -32,15 +36,10 @@ from .polytope import (
     _dd,
     _sub,
     hull,  # not called here; perfbench's tracer test reads engine.hull
-    support_min,
 )
 from .qforms import q_exponent, q_tilde_exponent
-from .systems import (
-    RestrictedSystem,
-    SystemSpec,
-    cone_system,
-    restrict_system,
-)
+from .systems import SystemSpec, cone_system
+from .volumes import _face_at, _minkowski_points
 
 __all__ = [
     "ZetaProduct",
@@ -158,51 +157,45 @@ def candidate_covectors(
         raise ValueError("index set must be nonempty")
     if any(i < 0 or i >= ambient_dim for i in idx):
         raise ValueError("index set out of range")
-    m = len(idx)
-
-    # the sum on the coordinates of I, each partial sum extended from the
-    # vertices of its double description
-    pts: tuple[Vec, ...] = ((0,) * m,)
+    bodies = []
     for P in polytopes:
         if P.is_empty:
             raise ValueError("candidate covectors need nonempty polytopes")
         if P.ambient_dim != ambient_dim:
             raise ValueError("polytope dimension does not match ambient")
-        on_i = _stratum_coords(P, idx)
-        if on_i is None:
+        bodies.append(_on_stratum(P, idx))
+        if len(bodies[-1]) < len(P.vertices):
             raise ValueError("polytope not contained in the index subspace")
-        pts = tuple(sorted({
-            tuple(x + y for x, y in zip(pts[i], q))
-            for i in _dd(pts, m)[0] for q in on_i
-        }))
+    return [_embed(a, idx, ambient_dim) for a in _covectors(bodies, len(idx))]
+
+
+def _on_stratum(P: LatticePolytope, idx: Sequence[int]) -> list[Vec]:
+    """P's vertices in the coordinate subspace of I, on the coordinates of I:
+    those whose coordinates on I carry their whole absolute 1-norm.  On the
+    subspace, dropping the other coordinates is a lattice bijection."""
+    verts = P.raw_vertices()
+    on_i = [tuple(v[i] for i in idx) for v in verts]
+    return [p for p, v in zip(on_i, verts) if sum(map(abs, p)) == sum(map(abs, v))]
+
+
+def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
+    """The covector of Z^n that is a on the coordinates of I and 0 elsewhere."""
+    on_i = dict(zip(idx, a))
+    return Covector(tuple(on_i.get(i, 0) for i in range(n)))
+
+
+def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
+    """Sorted candidate covectors of point sets in Z^m: the facet normals of
+    their sum, or the line normal to it (see ``candidate_covectors``)."""
+    pts = _minkowski_points(bodies, m)
     verts, facets, _tights = _dd(pts, m)
-
-    def embed(comps: Sequence[int]) -> Covector:
-        on_i = dict(zip(idx, comps))
-        return Covector(tuple(on_i.get(i, 0) for i in range(ambient_dim)))
-
     if facets:
-        alphas = [embed(a) for a, _b in facets]
-    else:
-        dirs = [IntPoint(pts[i]) - IntPoint(pts[verts[0]]) for i in verts[1:]]
-        try:
-            alphas = [embed(b.comps) for b in orthogonal_line_generators(dirs, m)]
-        except ValueError:  # dimension below l
-            alphas = []
-    alphas.sort(key=lambda a: a.comps)
-    return alphas
-
-
-def _stratum_coords(P: LatticePolytope, idx: Sequence[int]) -> list[Vec] | None:
-    """P's vertices on the coordinates of I; None when P leaves their subspace.
-
-    On the subspace, dropping the other coordinates is a lattice bijection.
-    """
-    pts = [tuple(v.coords[i] for i in idx) for v in P.vertices]
-    # the dropped coordinates are all zero exactly when the 1-norm is kept
-    kept = all(sum(map(abs, v.coords)) == sum(map(abs, p))
-               for v, p in zip(P.vertices, pts))
-    return pts if kept else None
+        return sorted(a for a, _b in facets)
+    dirs = [IntPoint(_sub(pts[i], pts[verts[0]])) for i in verts[1:]]
+    try:
+        return sorted(b.comps for b in orthogonal_line_generators(dirs, m))
+    except ValueError:  # dimension below m - 1
+        return []
 
 
 def _bodies(point_sets: Sequence[Sequence[Vec]], d: int) -> list[LatticePolytope]:
@@ -215,45 +208,33 @@ def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:
 
 
 def _covector_traces(
-    rs: RestrictedSystem,
-    bodies: Sequence[LatticePolytope],
-    power: Callable[[Covector], int],
+    index_set: frozenset[int],
+    n: int,
+    bodies: Sequence[Sequence[Vec]],
+    power: Callable[[Vec], int],
     exponent: Callable[[int, list[LatticePolytope], LatticeFrame], int],
 ) -> list[ContributionTrace]:
     """A trace per candidate covector alpha of positive ``power`` and
     nonzero ``exponent`` of the bodies' faces at alpha, in the lattice of
-    {x : x_i = 0 outside I, alpha(x) = 0}.  The bodies are read on the
-    coordinates of I once; the face at alpha is the subset where alpha
-    takes its minimum, so it lies in that hyperplane of the subspace and
-    is measured on the coordinates of I less the one
-    ``_hyperplane_measure`` deletes, in one frame of Z^l.
+    {x : x_i = 0 outside I, alpha(x) = 0}.  Bodies and alpha are on the
+    coordinates of I; each face, where alpha is least, lies in one
+    hyperplane of alpha and is measured by ``_hyperplane_measure`` in Z^l.
     """
-    idx = sorted(rs.index_set)
+    idx = sorted(index_set)
     l = len(idx) - 1
     frame = LatticeFrame.standard(l)
-    on_i = [_stratum_coords(P, idx) for P in bodies]
     traces: list[ContributionTrace] = []
-    for alpha in candidate_covectors(bodies, idx, rs.n):
-        m = power(alpha)
+    for a in _covectors(bodies, l + 1):
+        m = power(a)
         if m <= 0:
             continue
-        a = [alpha.comps[i] for i in idx]
-        lows = [min(_dot(a, p) for p in pts) for pts in on_i]
-        faces = [[p for p in pts if _dot(a, p) == low] for pts, low in zip(on_i, lows)]
+        faces = [_face_at(a, pts) for pts in bodies]
         e = _hyperplane_measure(
             a, faces, lambda projected: exponent(l, _bodies(projected, l), frame))
         if e:
-            traces.append(ContributionTrace(rs.index_set, alpha, m, e, _dims(faces)))
+            traces.append(ContributionTrace(index_set, _embed(a, idx, n), m, e,
+                                            _dims(faces)))
     return traces
-
-
-# ---------------------------------------------------------------------------
-# deformation strata
-# ---------------------------------------------------------------------------
-
-def _deformation_stratum(rs: RestrictedSystem, sign: int) -> list[ContributionTrace]:
-    return _covector_traces(rs, rs.polytopes,
-                            lambda alpha: sign * alpha.comps[rs.n - 1], q_exponent)
 
 
 def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[int]]:
@@ -261,31 +242,50 @@ def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[i
         return [frozenset(range(n))]
     if scope != "affine":
         raise ValueError(f"unknown scope {scope!r}")
-    out = []
-    indices = list(range(n))
-    for size in range(1, n + 1):
-        for combo in combinations(indices, size):
-            if must_contain_last and (n - 1) not in combo:
-                continue
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(c) for size in range(1, n + 1)
+            for c in combinations(range(n), size) if not must_contain_last or n - 1 in c]
 
 
 def _over_strata(
     spec: SystemSpec,
     scope: str,
-    stratum: Callable[[RestrictedSystem], list[ContributionTrace]],
+    stratum: Callable[[frozenset[int], int, list[list[Vec]]], list[ContributionTrace]],
     must_contain_last: bool,
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
-    """The product of all traces' factors, with the traces in stratum order."""
+    """The product of all traces' factors, with the traces in stratum order.
+
+    Each of ``spec.newton_polytopes`` is read once per stratum I, by
+    ``_on_stratum``; a constraint with no vertex there misses I and is
+    dropped, and the objective, if any, leads the bodies ``stratum`` gets.
+    Every exponent of I is a q-form of its faces, which is 0 when it has
+    more bodies than its degree or a point body, so a stratum adds no
+    factor, and is skipped before any hull, when:
+
+    - k >= |I| constraints survive: each covector exponent has k (and k + 1)
+      bodies in degree |I| - 1, the boundary factor k + 1 in degree |I|;
+    - a surviving constraint has one vertex: its face is that point at
+      every covector, and it is a body of every exponent;
+    - the objective misses I: the stratum contributes 1 (``zeta_polynomial``).
+    """
     traces: list[ContributionTrace] = []
-    for idx in _strata_for(spec.n, scope, must_contain_last):
-        traces.extend(stratum(restrict_system(spec, idx)))
+    for index_set in _strata_for(spec.n, scope, must_contain_last):
+        idx = sorted(index_set)
+        read = [_on_stratum(P, idx) for P in spec.newton_polytopes]
+        objective = [read.pop()] if spec.objective is not None else []
+        bodies = [pts for pts in read if pts]
+        if (len(bodies) >= len(idx) or any(len(pts) == 1 for pts in bodies)
+                or [] in objective):
+            continue
+        traces.extend(stratum(index_set, spec.n, objective + bodies))
     total: dict[int, int] = {}
     for t in traces:
         total[t.m] = total.get(t.m, 0) + t.exponent
     return ZetaProduct.from_exponents(total), traces
 
+
+# ---------------------------------------------------------------------------
+# deformation strata
+# ---------------------------------------------------------------------------
 
 def zeta_deformation(
     spec: SystemSpec,
@@ -300,40 +300,31 @@ def zeta_deformation(
     """
     if spec.objective is not None:
         raise ValueError("zeta_deformation requires a deformation system")
-    if mode == "origin":
-        sign = +1
-    elif mode == "infinity":
-        sign = -1
-    else:
+    sign = {"origin": +1, "infinity": -1}.get(mode)
+    if sign is None:
         raise ValueError(f"unknown mode {mode!r}")
-    return _over_strata(spec, scope, lambda rs: _deformation_stratum(rs, sign),
-                        must_contain_last=True)
+
+    # every stratum holds the parameter, the last of the coordinates of I
+    return _over_strata(spec, scope, lambda index_set, n, bodies: _covector_traces(
+        index_set, n, bodies, lambda a: sign * a[-1], q_exponent), must_contain_last=True)
 
 
 # ---------------------------------------------------------------------------
 # polynomial on a complete intersection
 # ---------------------------------------------------------------------------
 
-def _polynomial_stratum(rs: RestrictedSystem) -> list[ContributionTrace]:
-    idx = sorted(rs.index_set)
-    obj = rs.objective_restriction
-    assert obj is not None, "polynomial stratum needs an objective restriction"
-    if obj.is_empty:
-        return []
-
-    # Boundary factor of the stratum: the covector constant on the whole
-    # subspace contributes (1 - t) to the power of the Euler
-    # characteristic of the full restricted system on the stratum torus.
-    # The bare covector-product formula omits it, but the cone route
-    # provably produces it, and it is what makes degree(zeta) equal the
-    # fiber Euler characteristic; see the route-equivalence tests.
-    bodies = [obj, *rs.polytopes]
-    on_i = [_stratum_coords(b, idx) for b in bodies]
-    assert None not in on_i, "body is off the stratum's subspace"
-    e0 = q_exponent(len(idx), _bodies(on_i, len(idx)), LatticeFrame.standard(len(idx)))
-    traces = [ContributionTrace(rs.index_set, None, 1, e0, _dims(on_i))] if e0 else []
+def _polynomial_stratum(index_set: frozenset[int], n: int,
+                        bodies: list[list[Vec]]) -> list[ContributionTrace]:
+    # Boundary factor: the covector constant on the whole subspace gives
+    # (1 - t) to the power of the Euler characteristic of the restricted
+    # system on the stratum torus.  The bare covector-product formula omits
+    # it, but the cone route provably produces it, and it makes degree(zeta)
+    # equal the fiber Euler characteristic; see the route-equivalence tests.
+    d = len(index_set)
+    e0 = q_exponent(d, _bodies(bodies, d), LatticeFrame.standard(d))
+    traces = [ContributionTrace(index_set, None, 1, e0, _dims(bodies))] if e0 else []
     return traces + _covector_traces(
-        rs, bodies, lambda alpha: support_min(obj, alpha),
+        index_set, n, bodies, lambda a: min(_dot(a, p) for p in bodies[0]),
         lambda l, fs, frame: q_tilde_exponent(l, fs[0], fs[1:], frame),
     )
 
@@ -361,9 +352,7 @@ def zeta_polynomial_via_cone(spec: SystemSpec) -> ZetaProduct:
     agree factor-by-factor with the direct route, which is the built-in
     cross-validation of the whole pipeline.
     """
-    lifted = cone_system(spec)
-    product, _ = zeta_deformation(lifted, mode="origin", scope="torus")
-    return product
+    return zeta_deformation(cone_system(spec), mode="origin", scope="torus")[0]
 
 
 # ---------------------------------------------------------------------------

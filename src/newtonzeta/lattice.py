@@ -28,7 +28,6 @@ __all__ = [
     "IntPoint",
     "Covector",
     "LatticeFrame",
-    "primitive_part",
     "saturated_basis",
     "orthogonal_line_generators",
 ]
@@ -72,9 +71,6 @@ class IntPoint:
     def __neg__(self) -> "IntPoint":
         return IntPoint(tuple(-a for a in self.coords))
 
-    def scaled(self, c: int) -> "IntPoint":
-        return IntPoint(tuple(c * a for a in self.coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -105,9 +101,6 @@ class Covector:
 
     def is_zero(self) -> bool:
         return not any(self.comps)
-
-    def is_primitive(self) -> bool:
-        return gcd(*self.comps) == 1
 
     def __neg__(self) -> "Covector":
         return Covector(tuple(-c for c in self.comps))
@@ -258,19 +251,6 @@ def _hyperplane_measure(
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def primitive_part(v: Covector) -> Covector:
-    """Divide an integer covector by the gcd of its components.
-
-    Sign is preserved; the zero covector is rejected.
-    """
-    if not isinstance(v, Covector):
-        raise TypeError("primitive_part expects a Covector")
-    if v.is_zero():
-        raise ValueError("zero covector")
-    g = gcd(*v.comps)
-    return Covector(tuple(c // g for c in v.comps))
-
 
 def saturated_basis(vectors: Sequence[IntPoint]) -> list[IntPoint]:
     """Basis of the saturation (rational span intersected with Z^n).

@@ -109,9 +109,6 @@ class LatticePolytope:
     def raw_vertices(self) -> list[Vec]:
         return [v.coords for v in self.vertices]
 
-    def translate(self, by: IntPoint) -> "LatticePolytope":
-        return LatticePolytope(tuple(v + by for v in self.vertices), self.ambient_dim)
-
     def __repr__(self) -> str:
         if self.is_empty:
             return f"LatticePolytope(empty, dim={self.ambient_dim})"

@@ -363,7 +363,7 @@ class SystemSpec:
     the last variable; with an objective it describes that polynomial
     restricted to the complete intersection cut out by the constraints.
     The Newton polytopes are built once, on first use, and belong to the
-    spec; every stratum restricts them.
+    spec; the engine reads their vertices once per stratum.
     """
 
     n: int

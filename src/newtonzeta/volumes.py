@@ -100,6 +100,23 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(_sub(p, base) for p in uniq)
 
 
+def _minkowski_points(bodies: Sequence[Sequence[Vec]], d: int) -> tuple[Vec, ...]:
+    """Canonical points of the sum of point sets in Z^d (the origin for
+    none), each partial sum extended from the vertices of its ``_dd``."""
+    pts = ((0,) * d,)
+    for body in bodies:
+        pts = _canonical_pts([tuple(x + y for x, y in zip(pts[i], q))
+                              for i in _dd(pts, d)[0] for q in body])
+    return pts
+
+
+def _face_at(a: Vec, pts: Sequence[Vec]) -> list[Vec]:
+    """The points where the covector a is least."""
+    heights = [_dot(a, p) for p in pts]
+    low = min(heights)
+    return [p for p, h in zip(pts, heights) if h == low]
+
+
 # ---------------------------------------------------------------------------
 # public volume operations
 # ---------------------------------------------------------------------------
@@ -203,12 +220,12 @@ def _mixed_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     With P = bodies[0] and Q the sum of the others, it is the sum over
     the facets a.x >= b of Q of -min_P a times the (l-1)! MV of the
     others' faces at a, in a's hyperplane lattice.  Q sums the distinct
-    others only, which has the same facet normals, built from the
-    ``_dd`` vertices of each prefix.  A Q of rank l - 1 has one
-    primitive normal u, and gives the width of P along u times the
-    measure of the others in u's hyperplane; a lower rank gives 0.  A
-    point body gives 0, a facet on which P's minimum is 0 or where a
-    face is a point adds 0, and l = 1 is the lattice length of P.
+    others only (``_minkowski_points``): it has the same facet normals.
+    A Q of rank l - 1 has one primitive normal u, and gives the width of
+    P along u times the measure of the others in u's hyperplane; a lower
+    rank gives 0.  A point body gives 0, a facet on which P's minimum is
+    0 or where a face (``_face_at``) is a point adds 0, and l = 1 is the
+    lattice length of P.
     Minkowski's relation, sum_a a MV(faces at a) = 0, makes the sum
     independent of where P lies, so the canonical keys are sound.
     """
@@ -223,10 +240,7 @@ def _mixed_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
             tuple(sorted(map(_canonical_pts, projected))), l - 1))
 
     distinct = list(dict.fromkeys(rest))
-    pts = distinct[0]
-    for body in distinct[1:]:
-        pts = _canonical_pts([tuple(x + y for x, y in zip(pts[i], q))
-                              for i in _dd(pts, l)[0] for q in body])
+    pts = _minkowski_points(distinct, l)
     facets = _dd(pts, l)[1]
     if not facets:
         pivots, normals = _column_reduce(pts, l)
@@ -240,11 +254,7 @@ def _mixed_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
         low = min(_dot(a, p) for p in last)
         if not low:
             continue
-        face_of = {}
-        for body in distinct:
-            heights = [_dot(a, p) for p in body]
-            h = min(heights)
-            face_of[body] = [p for p, t in zip(body, heights) if t == h]
+        face_of = {body: _face_at(a, body) for body in distinct}
         if any(len(f) == 1 for f in face_of.values()):
             continue
         total -= low * measure(a, [face_of[body] for body in rest])

@@ -13,7 +13,10 @@ saturated kernel per facet of a simplex is the reference for the start
 cone that the double description reads off a single triangular
 substitution, and a saturated kernel frame per covector is the
 reference for the engine's stratum measure, which reads the hyperplane
-lattice off the covector instead.
+lattice off the covector instead.  ``zeta_by_strata`` is the reference
+for the engine's strata driver: it restricts every stratum with
+``restrict_system`` and skips none, where the engine reads each stratum
+once and skips those that cannot contribute.
 """
 
 from __future__ import annotations
@@ -25,12 +28,22 @@ from math import prod
 from typing import Sequence
 
 from newtonzeta import (
+    ContributionTrace,
     Covector,
     IntPoint,
     LatticeFrame,
     LatticePolytope,
+    SystemSpec,
+    ZetaProduct,
+    candidate_covectors,
+    dim,
+    face,
     lattice_volume,
     minkowski_sum,
+    q_exponent,
+    q_tilde_exponent,
+    restrict_system,
+    support_min,
 )
 from newtonzeta.lattice import _column_reduce, _int_kernel
 
@@ -238,3 +251,66 @@ def stratum_frame(
     )
     assert frame.rank == len(index_set) - 1, "stratum frame has wrong rank"
     return frame
+
+
+def stratum_traces(
+    spec: SystemSpec, index_set: frozenset[int], sign: int | None
+) -> list[ContributionTrace]:
+    """One stratum's traces, skipping nothing: the deformation's at the
+    origin (``sign`` +1) or at infinity (-1), or the objective's (None).
+
+    The stratum is ``restrict_system``; its covectors are the public
+    ``candidate_covectors``, the objective's power is ``support_min``, and
+    each exponent is ``q_exponent`` or ``q_tilde_exponent`` of the faces
+    ``face`` cuts, in the kernel frame of the covector's hyperplane.
+    """
+    rs = restrict_system(spec, index_set)
+    l = len(rs.index_set) - 1
+    bodies = list(rs.polytopes)
+    traces = []
+    if sign is None:
+        obj = rs.objective_restriction
+        if obj.is_empty:
+            return []
+        bodies.insert(0, obj)
+        units = [IntPoint(tuple(int(j == i) for j in range(spec.n)))
+                 for i in sorted(rs.index_set)]
+        e0 = q_exponent(l + 1, bodies, LatticeFrame.span_of(units, spec.n))
+        if e0:
+            dims = tuple(dim(b) for b in bodies)
+            traces.append(ContributionTrace(rs.index_set, None, 1, e0, dims))
+    for alpha in candidate_covectors(bodies, rs.index_set, spec.n):
+        m = sign * alpha.comps[-1] if sign else support_min(bodies[0], alpha)
+        if m <= 0:
+            continue
+        faces = [face(P, alpha).face for P in bodies]
+        frame = stratum_frame(rs.index_set, alpha, spec.n)
+        if sign:
+            e = q_exponent(l, faces, frame)
+        else:
+            e = q_tilde_exponent(l, faces[0], faces[1:], frame)
+        if e:
+            dims = tuple(dim(f) for f in faces)
+            traces.append(ContributionTrace(rs.index_set, alpha, m, e, dims))
+    return traces
+
+
+def zeta_by_strata(
+    spec: SystemSpec, scope: str, sign: int | None
+) -> tuple[ZetaProduct, list[ContributionTrace]]:
+    """The product and traces of ``zeta_deformation`` (``sign`` +1 at the
+    origin, -1 at infinity) or ``zeta_polynomial`` (None), every stratum
+    measured by ``stratum_traces``.  A deformation's strata hold the last
+    coordinate, the parameter."""
+    n = spec.n
+    if scope == "torus":
+        strata = [frozenset(range(n))]
+    else:
+        strata = [frozenset(c) for size in range(1, n + 1)
+                  for c in combinations(range(n), size)
+                  if sign is None or n - 1 in c]
+    traces = [t for idx in strata for t in stratum_traces(spec, idx, sign)]
+    total: dict[int, int] = {}
+    for t in traces:
+        total[t.m] = total.get(t.m, 0) + t.exponent
+    return ZetaProduct.from_exponents(total), traces

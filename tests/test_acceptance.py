@@ -130,7 +130,7 @@ def test_mixed_volume_oracle_agreement():
         rng.shuffle(shuffled)
         assert mixed_volume_of(shuffled, frame) == v
         shift = IntPoint(tuple(rng.randint(-4, 4) for _ in range(d)))
-        moved = [bodies[0].translate(shift)] + bodies[1:]
+        moved = [hull([v + shift for v in bodies[0].vertices])] + bodies[1:]
         assert mixed_volume_of(moved, frame) == v
         Q = bodies[0]
         assert mixed_volume_of([Q] * d, frame) == factorial(d) * lattice_volume(Q, frame)

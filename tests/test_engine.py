@@ -1,12 +1,14 @@
 """The zeta engine: covector enumeration, strata, both zeta modes."""
 
 import random
+from itertools import product
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonzeta import (
-    Covector,
     IntPoint,
     LatticeFrame,
     SystemSpec,
@@ -25,11 +27,11 @@ from newtonzeta import (
     zeta_polynomial,
     zeta_polynomial_via_cone,
 )
-from newtonzeta import lattice, polytope, systems, volumes
-from newtonzeta.engine import _deformation_stratum
+from newtonzeta import engine, lattice, polytope, systems, volumes
+from newtonzeta.engine import _strata_for
 from newtonzeta.lattice import _column_reduce, _int_kernel
 from tests.conftest import deformation_corpus, random_support
-from tests.oracle import stratum_frame
+from tests.oracle import stratum_frame, stratum_traces, zeta_by_strata
 
 
 def P(*coords):
@@ -101,7 +103,7 @@ def test_candidates_are_primitive_and_sorted():
     cands = candidate_covectors([sq], {0, 1}, 2)
     comps = [a.comps for a in cands]
     assert comps == sorted(comps)
-    assert all(Covector(c).is_primitive() for c in comps)
+    assert all(gcd(*c) == 1 for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ def test_affine_equals_product_of_strata():
     pieces = ZetaProduct.one()
     for idx in [{1}, {0, 1}]:
         piece = ZetaProduct.one()
-        for t in _deformation_stratum(restrict_system(spec, idx), +1):
+        for t in stratum_traces(spec, frozenset(idx), +1):
             piece = piece * ZetaProduct(((t.m, t.exponent),))
         assert factors.get(frozenset(idx), ZetaProduct.one()) == piece
         pieces = pieces * piece
@@ -598,10 +600,68 @@ def test_stratum_measure_matches_kernel_frames(spec):
         assert trace.exponent == want, trace
 
 
+# ---------------------------------------------------------------------------
+# the strata driver against the oracle that skips no stratum
+# ---------------------------------------------------------------------------
+
+def _skip_of(spec, index_set):
+    """The first of the engine's skips that a stratum meets, or None."""
+    rs = restrict_system(spec, index_set)
+    if rs.k_of_I >= len(index_set):
+        return "constraints"
+    if any(len(P.vertices) == 1 for P in rs.polytopes):
+        return "monomial"
+    if rs.objective_restriction is not None and rs.objective_restriction.is_empty:
+        return "objective"
+    return None
+
+
+@st.composite
+def _sparse_systems(draw):
+    """n <= 4 with monomial constraints among the others; most exponents
+    are 0, so that constraints and objectives miss many strata."""
+    n = draw(st.integers(2, 4))
+    point = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n, max_size=n)
+    support = st.lists(point.map(tuple), min_size=1, max_size=4, unique=True)
+    constraints = draw(st.lists(support, max_size=n - 1))
+    if draw(st.booleans()):
+        return SystemSpec.from_supports(n, constraints)
+    return SystemSpec.from_supports(n, constraints, objective_support=draw(support))
+
+
+def test_strata_driver_matches_the_unskipped_oracle():
+    # traces and products equal exactly, in both modes and at both scopes;
+    # the engine measures the strata that no skip names, and each skip
+    # is reached
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_sparse_systems())
+    def check(spec):
+        signs = [None] if spec.objective is not None else [+1, -1]
+        for sign, scope in product(signs, ("torus", "affine")):
+            with mock.patch.object(engine, "_covectors",
+                                   wraps=engine._covectors) as enumeration:
+                if sign is None:
+                    got = zeta_polynomial(spec, scope)
+                else:
+                    mode = "origin" if sign > 0 else "infinity"
+                    got = zeta_deformation(spec, mode, scope)
+            assert got == zeta_by_strata(spec, scope, sign)
+            skips = [_skip_of(spec, idx)
+                     for idx in _strata_for(spec.n, scope, sign is not None)]
+            assert enumeration.call_count == skips.count(None)
+            reached.update(skips)
+
+    check()
+    assert reached == {None, "constraints", "monomial", "objective"}
+
+
 def test_stratum_measure_runs_no_kernel(monkeypatch):
     # a cold n = 3 deformation reads each hyperplane lattice off its
     # covector, among them (0, 2, 3) and (3, 2, 3) of index 2; a kernel
-    # frame per covector made 5 kernels and 40 reductions here
+    # frame per covector made 5 kernels and 40 reductions here, and
+    # measuring the strata that cannot contribute made 29
     for memo in (polytope._dd, volumes._mixed_sum_of, volumes._cayley_sum_of):
         memo.cache_clear()
     calls = {"reduce": 0, "kernel": 0}
@@ -622,7 +682,7 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     z, traces = zeta_deformation(spec, mode="origin", scope="affine")
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
-    assert calls == {"reduce": 29, "kernel": 0}
+    assert calls == {"reduce": 26, "kernel": 0}
 
 
 def test_newton_polytopes_are_built_once_per_system(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a source module imports is used there."""
+"""Every name a source module imports is used there, and every private
+name a source module defines is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,29 @@ def test_source_modules_use_every_import():
         unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         unused = [name for name in unused if (path.stem, name) not in _EXEMPT]
         assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_source_modules_use_every_private_definition():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(newtonzeta.__file__).parent.glob("*.py"))}
+    # a definition is not a load, so these are the references alone
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    for name, tree in trees.items():
+        unused = [d for d in _private_definitions(tree) if d not in loaded]
+        assert not unused, f"{name} defines {unused} and nothing uses them"

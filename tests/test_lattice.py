@@ -1,11 +1,10 @@
-"""Lattice primitives: primitive parts, saturation, frames."""
+"""Lattice primitives: points and covectors, saturation, frames."""
 
 import random
 from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
 
 from newtonzeta import (
     Covector,
@@ -14,7 +13,6 @@ from newtonzeta import (
     hull,
     lattice_volume,
     orthogonal_line_generators,
-    primitive_part,
     saturated_basis,
 )
 from newtonzeta.lattice import _column_reduce, _dot, _int_kernel, _rank
@@ -37,32 +35,8 @@ def test_intpoint_arithmetic():
     assert (p + q).coords == (1, -3)
     assert (p - q).coords == (1, 7)
     assert (-p).coords == (-1, -2)
-    assert p.scaled(3).coords == (3, 6)
     with pytest.raises(TypeError):
         IntPoint((1.5, 2))
-
-
-def test_primitive_part_examples():
-    assert primitive_part(Covector((2, 4))).comps == (1, 2)
-    assert primitive_part(Covector((0, -3))).comps == (0, -1)
-    assert primitive_part(Covector((6, 10, 15))).comps == (6, 10, 15)
-
-
-def test_primitive_part_zero_vector_rejected():
-    with pytest.raises(ValueError, match="zero covector"):
-        primitive_part(Covector((0, 0)))
-
-
-@given(
-    st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any),
-    st.integers(-7, 7).filter(lambda c: c != 0),
-)
-def test_primitive_part_idempotent_and_scale_invariant(comps, c):
-    v = Covector(tuple(comps))
-    p = primitive_part(v)
-    assert primitive_part(p) == p
-    scaled = primitive_part(Covector(tuple(c * x for x in comps)))
-    assert scaled == p or scaled == -p
 
 
 def test_saturated_basis_line():
@@ -162,13 +136,13 @@ def test_frame_coordinates_round_trip():
         assert frame.index == index and len(frame.normals) == 2
         block = [tuple(direction[j] for j in frame.coords)]
         for x in (-2, 0, 1, 3):
-            p = IntPoint(direction).scaled(x)
+            p = IntPoint(tuple(x * c for c in direction))
             assert not any(_dot(a, p.coords) for a in frame.normals)
             projected = tuple(p.coords[j] for j in frame.coords)
             assert _solve_in_basis(block, projected) == [x]
         # lattice length: the projected length divided by the index
         start = IntPoint((5, 5, 5))
-        segment = hull([start, start + IntPoint(direction).scaled(3)])
+        segment = hull([start, start + IntPoint(tuple(3 * c for c in direction))])
         assert lattice_volume(segment, frame) == 3
 
 

@@ -141,7 +141,8 @@ def test_mixed_volume_symmetry_and_translation():
         rng.shuffle(perm)
         assert mixed_volume_of(perm, frame) == v
         shift = IntPoint(tuple(rng.randint(-4, 4) for _ in range(d)))
-        assert mixed_volume_of([bodies[0].translate(shift)] + bodies[1:], frame) == v
+        moved = hull([p + shift for p in bodies[0].vertices])
+        assert mixed_volume_of([moved] + bodies[1:], frame) == v
 
 
 def test_mixed_volume_multilinearity():
