@@ -312,26 +312,24 @@ def run(job: Job) -> dict:
     raise AssertionError(f"unhandled task {job.task!r}")
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="newton-zeta",
-        description="Monodromy zeta-functions from Newton polytopes, exactly.",
-    )
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("input", help="job document (JSON file, or - for stdin)")
-    parser.add_argument("--scope", choices=SCOPES, default=None,
-                        help="torus part only, or the full affine stratification")
-    parser.add_argument("--trace", action="store_true",
-                        help="include per-factor contribution traces")
-    parser.add_argument("--deform-var", default=None, metavar="NAME",
-                        help="permute this variable into the last position")
-    parser.add_argument("--pretty", action="store_true",
-                        help="echo the human-readable product on stderr")
-    return parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="newton-zeta",
+    description="Monodromy zeta-functions from Newton polytopes, exactly.",
+)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("input", help="job document (JSON file, or - for stdin)")
+_PARSER.add_argument("--scope", choices=SCOPES, default=None,
+                     help="torus part only, or the full affine stratification")
+_PARSER.add_argument("--trace", action="store_true",
+                     help="include per-factor contribution traces")
+_PARSER.add_argument("--deform-var", default=None, metavar="NAME",
+                     help="permute this variable into the last position")
+_PARSER.add_argument("--pretty", action="store_true",
+                     help="echo the human-readable product on stderr")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.input == "-":
             data = json.load(sys.stdin)

@@ -12,6 +12,10 @@ vertices but no facets.  ``_dd`` is memoized on the point tuple by
 polytopes recur heavily in mixed-volume work; its ``cache_info()``
 reports size and hit rate, ``cache_clear()`` empties it.
 
+The sweep inserts the points after its start cone farthest from their
+centroid first; its outputs are sorted and indexed by input position, so
+none depends on that order, only the sweep's transient rays do.
+
 Incidence is bookkept rather than recomputed: each ray of the sweep
 carries the mask of processed points it is zero on, and a new ray
 inherits the common mask of its two parents (see ``_dd``).  Vertices are
@@ -26,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import sub
+from operator import mul, sub
 from typing import Iterable
 
 from .lattice import (
     Covector,
     IntPoint,
     _column_reduce,
-    _dot,
     _rank,
     _span_coords,
     _triangular_inverse,
@@ -149,6 +152,13 @@ def _dd(
     it: ray j is primitive, zero on the other start rows and positive on
     row j, so it is their saturated kernel, as a kernel route would give.
 
+    The other rows follow farthest from the centroid first, ties in index
+    order.  Far points are more likely vertices, and a point in the hull
+    of the rows so far is on the nonnegative side of every ray, so the
+    non-vertices, coming late, mostly pass the all-nonnegative test
+    without making transient rays.
+    The extreme rays, and so every output, are the same in any order.
+
     The masks are inherited, not rescanned.  A start ray is zero on every
     start row but its own.  A ray created at row t is ``vp*r_m - vm*r_p``
     with ``vp > 0 > vm``, and both parents are >= 0 on every earlier row,
@@ -169,7 +179,15 @@ def _dd(
         return _dd(proj, len(keep))[0], (), ()
     init_idx = [i for i, _col, _g in pivots]
 
-    order = init_idx + [i for i in range(len(rows)) if i not in set(init_idx)]
+    # the other points farthest from the centroid first: n|p|^2 - 2 p.s,
+    # with s the coordinate sums, orders them as n^2 |p - s/n|^2 does
+    start = set(init_idx)
+    rest = [i for i in range(len(pts)) if i not in start]
+    if len(rest) > 1:
+        n, s2 = len(pts), [2 * sum(col) for col in zip(*pts)]
+        rest.sort(key=lambda i: sum(map(mul, s2, pts[i]))
+                  - n * sum(map(mul, pts[i], pts[i])))
+    order = init_idx + rest
     rays = _triangular_inverse([rows[i] for i in init_idx], pivots)
 
     # ray j is zero exactly on the start rows other than j
@@ -178,9 +196,11 @@ def _dd(
 
     for t in range(w, len(order)):
         a = rows[order[t]]
-        vals = [_dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
+        vals = [sum(map(mul, a, r)) for r in rays]
+        if min(vals) >= 0:
+            for i, v in enumerate(vals):
+                if not v:
+                    masks[i] |= 1 << t
             continue
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]

@@ -58,6 +58,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
+from operator import add
 from typing import Iterator, Sequence
 
 from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
@@ -105,7 +106,7 @@ def _minkowski_points(bodies: Sequence[Sequence[Vec]], d: int) -> tuple[Vec, ...
     none), each partial sum extended from the vertices of its ``_dd``."""
     pts = ((0,) * d,)
     for body in bodies:
-        pts = _canonical_pts([tuple(x + y for x, y in zip(pts[i], q))
+        pts = _canonical_pts([tuple(map(add, pts[i], q))
                               for i in _dd(pts, d)[0] for q in body])
     return pts
 

@@ -16,15 +16,19 @@ reference for the engine's stratum measure, which reads the hyperplane
 lattice off the covector instead.  ``zeta_by_strata`` is the reference
 for the engine's strata driver: it restricts every stratum with
 ``restrict_system`` and skips none, where the engine reads each stratum
-once and skips those that cannot contribute.
+once and skips those that cannot contribute.  ``facets_by_subsets``
+finds facets from the hyperplanes through every d-subset of the points,
+by signed minors; it is the reference for the double description in
+any input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import gcd, prod
 from typing import Sequence
 
 from newtonzeta import (
@@ -143,6 +147,57 @@ def _simplex_facets_by_kernels(pts: Sequence[tuple[int, ...]]):
         entries.append(((ray[1:], -ray[0]), frozenset(range(w)) - {j}))
     entries.sort(key=lambda e: e[0])
     return tuple(e[0] for e in entries), tuple(e[1] for e in entries)
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple(((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2)), p)
+                 for p in permutations(range(n)))
+
+
+def _leibniz_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix as a sum over permutations."""
+    return sum(sign * prod(r[j] for r, j in zip(rows, perm))
+               for sign, perm in _signed_permutations(len(rows)))
+
+
+def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):
+    """Vertices, facets and tight sets of a full-dimensional conv(pts), as
+    ``_dd`` gives them, from the d-subsets of the points.
+
+    Each d-subset spans a hyperplane whose normal is the vector of signed
+    maximal minors of its difference rows; made primitive and oriented so
+    that every point lies on its side, it is a facet when one side holds
+    every point.  Every facet has d affinely independent points, so the
+    subsets find them all.  A point is a vertex when the normals of the
+    facets through it have rank d; a tight set holds the facet's vertices.
+    """
+    found: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
+    seen = set()
+    for sub in combinations(range(len(pts)), d):
+        base = pts[sub[0]]
+        diffs = [tuple(x - y for x, y in zip(pts[i], base)) for i in sub[1:]]
+        a = tuple((-1) ** j * _leibniz_det([r[:j] + r[j + 1:] for r in diffs])
+                  for j in range(d))
+        if not any(a):
+            continue
+        g = gcd(*a)
+        a = tuple(c // g for c in a)
+        level = sum(x * y for x, y in zip(a, base))
+        if (a, level) in seen:
+            continue
+        seen.add((a, level))
+        values = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        if min(values) == level:
+            found[a, level] = frozenset(i for i, v in enumerate(values) if v == level)
+        elif max(values) == level:
+            found[tuple(-c for c in a), -level] = frozenset(
+                i for i, v in enumerate(values) if v == level)
+    vertices = tuple(i for i in range(len(pts))
+                     if _rank([a for (a, _b), tight in found.items() if i in tight]) == d)
+    facets = sorted(found)
+    return (vertices, tuple(facets),
+            tuple(found[f] & frozenset(vertices) for f in facets))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from newtonzeta import (
     Covector,
@@ -24,7 +25,12 @@ from newtonzeta.lattice import _column_reduce
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _independent_diffs
 from tests.conftest import random_polytope
-from tests.oracle import _simplex_facets_by_kernels, _vertices_by_rank
+from tests.oracle import (
+    _rank,
+    _simplex_facets_by_kernels,
+    _vertices_by_rank,
+    facets_by_subsets,
+)
 
 
 def P(*coords):
@@ -345,3 +351,61 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
     monkeypatch.setattr(polytope, "_column_reduce", counted)
     assert _dd.__wrapped__(simplex, 3)[1:] == want
     assert calls == [4]
+
+
+@st.composite
+def _minkowski_point_sets(draw):
+    """The sum of 2-3 random small bodies in Z^d, d = 2..4: full-dimensional,
+    with many points inside, and small enough for the subset oracle."""
+    d = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    bodies = draw(st.lists(st.lists(point, min_size=2, max_size=4, unique=True),
+                           min_size=2, max_size=3))
+    pts = sorted({tuple(map(sum, zip(*combo))) for combo in product(*bodies)})
+    assume(len(pts) <= (40, 30, 20)[d - 2])
+    assume(_rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) == d)
+    return d, tuple(pts), draw(st.permutations(range(len(pts))))
+
+
+def test_dd_matches_the_subset_oracle_in_any_input_order():
+    # the sweep inserts the points after its start cone farthest first,
+    # and no output depends on that order: the same set, shuffled, gives
+    # the same facets, with vertex and tight-set indices that map back
+    reached = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_minkowski_point_sets())
+    def check(case):
+        d, pts, perm = case
+        want = facets_by_subsets(pts, d)
+        assert _dd.__wrapped__(pts, d) == want
+        verts, facets, tights = _dd.__wrapped__(tuple(pts[i] for i in perm), d)
+        assert sorted(perm[i] for i in verts) == list(want[0])
+        assert facets == want[1]
+        assert [{perm[i] for i in t} for t in tights] == list(want[2])
+        if len(pts) - (d + 1) >= 2 and len(want[0]) < len(pts):
+            reached.add(d)
+
+    check()
+    assert reached == {2, 3, 4}
+
+
+def test_dd_inserts_far_points_first(monkeypatch):
+    # the outputs do not depend on the row order, so the work pins it: on
+    # the 256-point sum of two 4-boxes (16 vertices) index order makes 254
+    # fresh rays, far points first 21
+    fresh = []
+
+    def counted(v):
+        fresh.append(v)
+        return primitive(v)
+
+    primitive = polytope._primitive
+    monkeypatch.setattr(polytope, "_primitive", counted)
+    boxes = [list(product(*[(0, x) for x in sides]))
+             for sides in ((1, 2, 3, 1), (2, 1, 1, 3))]
+    pts = tuple(sorted({tuple(map(sum, zip(p, q))) for p, q in product(*boxes)}))
+    assert len(pts) == 256
+    verts, facets, _tights = _dd.__wrapped__(pts, 4)
+    assert len(verts) == 16 and len(facets) == 8
+    assert len(fresh) == 21
