@@ -6,13 +6,13 @@ monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
 the bodies taken with those multiplicities.  Their sum over the
 compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
 mixed cells of one lifted Cayley hull of the faces, so no composition
-is enumerated and no mixed volume is taken on its own.  For k = l
+is enumerated and no mixed volume is taken on its own; a Cayley set of
+l + k points is its own single cell and takes no lift.  For k = l
 bodies the only composition is (1, ..., 1) and the sum is the one mixed
 volume l! MV(F_1, ..., F_l), measured by the mixed-area recursion over
 the facets of a sum of l - 1 faces, whose cost does not grow with the
-cells of the Cayley hull that are not mixed.  The route and the zero
-cases are chosen in one place, ``volumes._frame_sum``, which
-``volumes.mixed_volume_of`` shares.
+Cayley hull's cells that are not mixed.  ``volumes._frame_sum`` chooses
+the route and the zero cases, shared with ``volumes.mixed_volume_of``.
 """
 
 from __future__ import annotations

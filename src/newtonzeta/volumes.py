@@ -21,9 +21,8 @@ F_1 + ... + F_k.  A cell with a_i + 1 points from body i spans l
 edges, and adds |det E| of the edge rows to l! MV(F^a); so the sum is
 (-1)^(l-k) times sum |det E| over the cells in which every body has two
 points or more.  The heights come from ``random.Random`` seeded by the
-canonical input, so a run is deterministic, and genericity is checked
-exactly: a lift with a lower facet of more than l + k vertices is
-replaced by the next one.  The value does not depend on the lift.
+canonical input, so a run is deterministic; a lift is generic when its
+lower facets have l + k vertices, and the value does not depend on it.
 
 Mixed volumes, the case k = l, come from Minkowski's mixed-area
 recursion (Schneider, Convex Bodies: The Brunn-Minkowski Theory, 5.1):
@@ -46,10 +45,10 @@ independent route to the projected volumes for cross-validation.
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  Each measured body runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
-the vertices that extend it and the facets that measure it.  A lifted
-Cayley set is seen once, and its double description bypasses that
-memo.  ``_cayley_sum_of`` tests the rank once, and ``_mixed_sum_of``
-only when its sum has no facets.
+the vertices that extend it and the facets that measure it; a lifted
+Cayley set, seen once, bypasses that memo.  In ``_cayley_sum_of`` one
+reduction gives the rank, and for a simplicial Cayley set also the
+value; ``_mixed_sum_of`` tests the rank only when its sum has no facets.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
-                      _rank, _span_coords)
+                      _span_coords)
 from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _dd, _sub
 
 __all__ = [
@@ -178,15 +177,21 @@ def _cayley_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     The lower facets of the lifted Cayley points are the cells; a cell
     in which every body has two points or more adds |det E| of its l
     edge rows, the product of the pivot gcds of one reduction.  A point
-    body has no edge and bodies that do not span Q^l no cell of full
-    dimension, so both give 0.  A lift with a lower facet that is not a
-    simplex (more than l + k vertices) is discarded for the next one.
-    The lifted set is seen once, so its ``_dd`` bypasses the memo.
+    body, or a rank below l, gives 0.  One reduction gives the rank, and
+    for a simplicial Cayley set also the value: its l + k points are its
+    one cell, with the nonzero ones (each canonical body holds the
+    origin) as edge rows.  Other sets are lifted until each cell is a
+    simplex; a lifted set is seen once, so its ``_dd`` bypasses the memo.
     """
     k = len(bodies)
     pts = [p for body in bodies for p in body]
-    if any(len(body) == 1 for body in bodies) or _rank(pts) < l:
+    if any(len(body) == 1 for body in bodies):
         return 0
+    pivots = _column_reduce(pts, l)[0]
+    if len(pivots) < l:
+        return 0
+    if len(pts) == l + k:
+        return (-1) ** (l - k) * prod(g for _i, _col, g in pivots)
     owner = [i for i, body in enumerate(bodies) for _p in body]
     # (p, e_i) with e_0 = 0: the point, then the body's unit vector
     cayley = [p + tuple(int(j == i) for j in range(1, k))

@@ -3,9 +3,10 @@ of the reference route they are checked against."""
 
 import random
 from itertools import product
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from newtonzeta import (
     IntPoint,
@@ -273,9 +274,64 @@ def test_cayley_sums_match_composition_oracle(case):
     assert _cayley_sum(faces, frame) == want
 
 
+@st.composite
+def _simplicial_cases(draw):
+    """1 <= k < l <= 4 bodies with l + k vertices in all, each body two
+    or more of them: their Cayley set is one simplex.  The l edge rows
+    e_j + c_j, c_j in [-2, 2]^l, are dealt to the bodies, each of which
+    is the origin and its rows, shifted; a body whose points are not all
+    vertices is rejected.  A quarter of the cases with l > 2 make the
+    last row the sum of the first two, so that the determinant is 0 (a
+    body may then be a parallelogram); most others have |det| > 1."""
+    rng = draw(st.randoms(use_true_random=False))
+    l = rng.randint(2, 4)
+    k = rng.randint(1, l - 1)
+    owner = list(range(k)) + [rng.randrange(k) for _ in range(l - k)]
+    rows = [tuple(int(i == j) + rng.randint(-2, 2) for i in range(l))
+            for j in range(l)]
+    if l > 2 and rng.randrange(4) == 0:
+        rows[-1] = tuple(map(add, rows[0], rows[1]))
+    faces = []
+    for body in range(k):
+        shift = tuple(rng.randint(-2, 2) for _ in range(l))
+        pts = [shift] + [tuple(map(add, shift, row))
+                         for row, i in zip(rows, owner) if i == body]
+        faces.append(P(*pts))
+        assume(len(faces[-1].vertices) == len(pts))
+    return l, faces
+
+
+def test_simplicial_cayley_sets_take_no_lift(monkeypatch):
+    # a Cayley set of l + k points is its own single cell, so its value is
+    # one determinant and no lift is drawn; values of 0, 1 and more occur
+    reached = set()
+
+    def no_lift(key, count):
+        raise AssertionError("a simplicial Cayley set was lifted")
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_simplicial_cases())
+    def check(case):
+        l, faces = case
+        frame = LatticeFrame.standard(l)
+        volumes._cayley_sum_of.cache_clear()
+        want = q_exponent_by_compositions(l, faces, frame)
+        assert _cayley_sum(faces, frame) == want
+        assert q_exponent(l, faces, frame) == want
+        assert q_tilde_exponent(l, faces[0], faces[1:], frame) == (
+            q_exponent_by_compositions(l, faces[1:], frame) - want
+        )
+        reached.add(min(abs(want), 2))
+
+    monkeypatch.setattr(volumes, "_lifts", no_lift)
+    check()
+    assert reached == {0, 1, 2}
+
+
 def test_degenerate_lift_is_lifted_again(monkeypatch):
     # flat heights put every Cayley point on one lower facet, which is no
-    # simplex for these bodies; the next lift is taken and gives the value
+    # simplex for these bodies; the next lift is taken and gives the value.
+    # Each case has more than l + k vertices, so none is a simplex itself
     lifts = volumes._lifts
     relifts = []
 
@@ -295,6 +351,7 @@ def test_degenerate_lift_is_lifted_again(monkeypatch):
         (3, [cube, P((0, 0, 0), (1, 2, 0), (0, 1, 1))]),
     ]
     for l, faces in cases:
+        assert sum(len(f.vertices) for f in faces) > l + len(faces)
         volumes._cayley_sum_of.cache_clear()
         relifts.clear()
         frame = LatticeFrame.standard(l)
