@@ -19,7 +19,10 @@ for the engine's strata driver: it restricts every stratum with
 once and skips those that cannot contribute.  ``facets_by_subsets``
 finds facets from the hyperplanes through every d-subset of the points,
 by signed minors; it is the reference for the double description in
-any input order.
+any input order.  ``expand_expression`` multiplies out an expression
+tree one term choice at a time, a power as k factors like any product;
+it is the reference for the polynomial parser, which it shares no code
+with.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, prod
 from typing import Sequence
 
@@ -369,3 +372,35 @@ def zeta_by_strata(
     for t in traces:
         total[t.m] = total.get(t.m, 0) + t.exponent
     return ZetaProduct.from_exponents(total), traces
+
+
+# an expression tree: ("num", Fraction), ("var", i), ("neg", tree),
+# ("add", [tree, ...]), ("mul", [tree, ...]) or ("pow", tree, k)
+Expression = tuple
+
+
+def expand_expression(tree: Expression, n: int) -> dict[tuple[int, ...], Fraction]:
+    """The polynomial of an expression tree in n variables, as
+    {exponents: nonzero coefficient}: every product of one term from each
+    factor (k copies of the base for a power), collected at the end."""
+
+    def terms(node: Expression) -> list[tuple[Fraction, tuple[int, ...]]]:
+        kind = node[0]
+        if kind == "num":
+            return [(node[1], (0,) * n)]
+        if kind == "var":
+            return [(Fraction(1), tuple(int(j == node[1]) for j in range(n)))]
+        if kind == "neg":
+            return [(-c, e) for c, e in terms(node[1])]
+        if kind == "add":
+            return [t for child in node[1] for t in terms(child)]
+        factors = ([terms(child) for child in node[1]] if kind == "mul"
+                   else [terms(node[1])] * node[2])
+        return [(prod((c for c, _e in choice), start=Fraction(1)),
+                 tuple(map(sum, zip((0,) * n, *(e for _c, e in choice)))))
+                for choice in product(*factors)]
+
+    collected: dict[tuple[int, ...], Fraction] = {}
+    for c, e in terms(tree):
+        collected[e] = collected.get(e, Fraction(0)) + c
+    return {e: c for e, c in collected.items() if c}

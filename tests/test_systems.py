@@ -20,6 +20,7 @@ from newtonzeta import (
     restrict_system,
     restrict_to_index_set,
 )
+from tests.oracle import expand_expression
 
 
 def test_parse_expands_products():
@@ -112,6 +113,74 @@ def test_parse_reads_only_decimal_digits():
         assert str(err.value) == f"unexpected character {char!r} (at position {position})"
         assert err.value.position == position
     assert parse_polynomial("٣*z1", ["z1"]).as_dict() == {(1,): 3}
+
+
+def test_oversized_powers_fail_fast_and_signed_powers_parse_fast():
+    # a coefficient other than +-1 is squared with the digit bound checked
+    # on each product; a power of -z1 is built at once from its exponent
+    for text, position in (("2^" + "9" * 50, 2), ("(3/7)^9000", 6)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="more than 4300 digits") as err:
+            parse_polynomial(text, ["z1"])
+        assert time.perf_counter() - start < 1
+        assert err.value.position == position
+    start = time.perf_counter()
+    p = parse_polynomial("(-z1)^" + "9" * 30, ["z1"])
+    assert time.perf_counter() - start < 1
+    assert p.as_dict() == {(10**30 - 1,): -1}
+
+
+def _render(tree, names):
+    """Text for an expression tree of ``tests.oracle.expand_expression``."""
+    kind = tree[0]
+    if kind == "num":
+        c = tree[1]
+        return str(c.numerator) if c.denominator == 1 else f"({c})"
+    if kind == "var":
+        return names[tree[1]]
+    if kind == "neg":
+        return f"(-{_render(tree[1], names)})"
+    if kind == "add":
+        return "(" + " + ".join(_render(child, names) for child in tree[1]) + ")"
+    if kind == "mul":
+        return "*".join(_render(child, names) for child in tree[1])
+    base = _render(tree[1], names)
+    return f"({base})^{tree[2]}" if tree[1][0] == "mul" else f"{base}^{tree[2]}"
+
+
+@st.composite
+def expressions(draw):
+    """Sums and differences of products whose factors are numbers,
+    variables, powers of signed or rational single terms, and powers of
+    sums, with the tree ``expand_expression`` reads."""
+    n = draw(st.integers(1, 3))
+    coefficients = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 1, 2, 3, 7]))
+    atoms = st.one_of(coefficients.map(lambda c: ("num", c)),
+                      st.integers(0, n - 1).map(lambda i: ("var", i)))
+    monomials = st.lists(atoms, min_size=1, max_size=4).map(lambda f: ("mul", f))
+    signed = st.one_of(monomials, monomials.map(lambda m: ("neg", m)))
+    term_powers = st.tuples(signed, st.integers(0, 40)).map(lambda t: ("pow", *t))
+    sums = st.lists(signed, min_size=1, max_size=3).map(lambda t: ("add", t))
+    sum_powers = st.tuples(sums, st.integers(0, 4)).map(lambda t: ("pow", *t))
+    factors = st.one_of(atoms, term_powers, sum_powers, sums)
+    products = st.lists(factors, min_size=1, max_size=3).map(lambda f: ("mul", f))
+    terms = st.lists(st.one_of(products, products.map(lambda p: ("neg", p))),
+                     min_size=1, max_size=3)
+    return n, ("add", draw(terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expressions())
+def test_parse_matches_the_term_by_term_expansion(example):
+    n, tree = example
+    names = [f"z{i + 1}" for i in range(n)]
+    want = expand_expression(tree, n)
+    text = _render(tree, names)[1:-1]  # the outer sum needs no parentheses
+    if not want:
+        with pytest.raises(ParseError, match="zero polynomial"):
+            parse_polynomial(text, names)
+    else:
+        assert parse_polynomial(text, names).as_dict() == want
 
 
 @st.composite
