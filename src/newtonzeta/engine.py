@@ -10,7 +10,8 @@ once per stratum I, as its vertices in I's subspace on the coordinates
 of I; that one reading gives the covectors, the faces at each, the
 objective's power and the boundary factor, and it skips, before any
 hull, a stratum whose every exponent is 0 by its count of bodies or by
-a point body.  The faces at a covector alpha are taken on the
+a point body.  The faces at a covector alpha go to the frame sum
+``volumes._reduced_sum`` as tuples, with no polytope built, on the
 coordinates of I less the one ``lattice._hyperplane_measure`` deletes,
 in the standard frame, and divided by the index of alpha's hyperplane.
 """
@@ -37,9 +38,9 @@ from .polytope import (
     _sub,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
-from .qforms import q_exponent, q_tilde_exponent
+from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
-from .volumes import _face_at, _minkowski_points
+from .volumes import _face_at, _minkowski_points, _reduced_sum
 
 __all__ = [
     "ZetaProduct",
@@ -198,13 +199,10 @@ def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
         return []
 
 
-def _bodies(point_sets: Sequence[Sequence[Vec]], d: int) -> list[LatticePolytope]:
-    return [LatticePolytope(tuple(IntPoint(p) for p in pts), d) for pts in point_sets]
-
-
 def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:
-    """The affine dimension of each nonempty point set: its differences' rank."""
-    return tuple(_rank([_sub(p, pts[0]) for p in pts[1:]]) for pts in point_sets)
+    """The affine dimension of each set of distinct points (size - 1 up to 2)."""
+    return tuple(len(pts) - 1 if len(pts) < 3 else _rank([_sub(p, pts[0]) for p in pts[1:]])
+                 for pts in point_sets)
 
 
 def _covector_traces(
@@ -212,13 +210,14 @@ def _covector_traces(
     n: int,
     bodies: Sequence[Sequence[Vec]],
     power: Callable[[Vec], int],
-    exponent: Callable[[int, list[LatticePolytope], LatticeFrame], int],
+    exponent: Callable[[list[list[Vec]], LatticeFrame], int],
 ) -> list[ContributionTrace]:
     """A trace per candidate covector alpha of positive ``power`` and
     nonzero ``exponent`` of the bodies' faces at alpha, in the lattice of
     {x : x_i = 0 outside I, alpha(x) = 0}.  Bodies and alpha are on the
     coordinates of I; each face, where alpha is least, lies in one
-    hyperplane of alpha and is measured by ``_hyperplane_measure`` in Z^l.
+    hyperplane of alpha and is measured by ``_hyperplane_measure`` in Z^l;
+    ``exponent`` gets the projected tuples and the stratum's standard frame.
     """
     idx = sorted(index_set)
     l = len(idx) - 1
@@ -229,8 +228,7 @@ def _covector_traces(
         if m <= 0:
             continue
         faces = [_face_at(a, pts) for pts in bodies]
-        e = _hyperplane_measure(
-            a, faces, lambda projected: exponent(l, _bodies(projected, l), frame))
+        e = _hyperplane_measure(a, faces, lambda projected: exponent(projected, frame))
         if e:
             traces.append(ContributionTrace(index_set, _embed(a, idx, n), m, e,
                                             _dims(faces)))
@@ -306,7 +304,7 @@ def zeta_deformation(
 
     # every stratum holds the parameter, the last of the coordinates of I
     return _over_strata(spec, scope, lambda index_set, n, bodies: _covector_traces(
-        index_set, n, bodies, lambda a: sign * a[-1], q_exponent), must_contain_last=True)
+        index_set, n, bodies, lambda a: sign * a[-1], _reduced_sum), must_contain_last=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +318,12 @@ def _polynomial_stratum(index_set: frozenset[int], n: int,
     # system on the stratum torus.  The bare covector-product formula omits
     # it, but the cone route provably produces it, and it makes degree(zeta)
     # equal the fiber Euler characteristic; see the route-equivalence tests.
-    d = len(index_set)
-    e0 = q_exponent(d, _bodies(bodies, d), LatticeFrame.standard(d))
+    e0 = _reduced_sum(bodies, LatticeFrame.standard(len(index_set)))
     traces = [ContributionTrace(index_set, None, 1, e0, _dims(bodies))] if e0 else []
+    # the objective's face leads: drop it, minus keep it (``q_tilde_exponent``)
     return traces + _covector_traces(
         index_set, n, bodies, lambda a: min(_dot(a, p) for p in bodies[0]),
-        lambda l, fs, frame: q_tilde_exponent(l, fs[0], fs[1:], frame),
+        lambda faces, frame: _reduced_sum(faces[1:], frame) - _reduced_sum(faces, frame),
     )
 
 

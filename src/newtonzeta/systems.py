@@ -278,24 +278,33 @@ class _Parser:
 
     @staticmethod
     def _mul(a: _Terms, b: _Terms, at: int) -> _Terms:
-        if len(a) * len(b) > _MAX_TERM_PAIRS:
+        """a * b, its coefficients bounded; single terms multiply directly."""
+        if len(a) == 1 == len(b):
+            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
+            out = {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
+        elif len(a) * len(b) > _MAX_TERM_PAIRS:
             raise ParseError(
                 f"expansion too large: {len(a)} times {len(b)} terms", at
             )
-        out: _Terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = out.get(e, Fraction(0)) + ca * cb
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
+        else:
+            out = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    c = out.get(e, Fraction(0)) + ca * cb
+                    if c:
+                        out[e] = c
+                    elif e in out:
+                        del out[e]
         _check_coefficients(out, at)
         return out
 
     def _pow(self, a: _Terms, k: int, at: int) -> _Terms:
-        """a^k by repeated squaring."""
+        """a^k: one term c x^e with c = +-1 is c^(k mod 2) x^(k e) at once; any
+        other a is squared, and the digit bound stops the first product past it."""
+        if len(a) == 1 and abs(next(iter(a.values()))) == 1:
+            ((e, c),) = a.items()
+            return {tuple(k * x for x in e): c ** (k & 1)}
         zero = tuple(0 for _ in range(self.n))
         result = {zero: Fraction(1)}
         while k:

@@ -36,9 +36,9 @@ the Cayley polytope (four 4-boxes lift to about 710 lower cells, 16-18
 of them mixed).  A volume is the mixed volume of l copies of one body,
 and the recursion then reads l! Vol_l as a sum of lattice pyramids over
 its facets, with apex the origin (Lasserre's facet recursion).
-``_frame_sum`` is the one place that decides the zero cases and the
-route, for ``lattice_volume``, ``mixed_volume_of`` and
-``qforms.q_exponent`` alike.
+``_reduced_sum`` is the one place that decides the zero cases and the
+route, for ``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the
+engine's faces, which it takes as tuples.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
@@ -138,22 +138,30 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
 
 def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int:
     """(-1)^(l-k) sum_a l! MV(F^a) of k bodies over the compositions a >= 1
-    of l = ``frame.rank``, measured in the frame.
+    of l = ``frame.rank``, measured in the frame: ``_reduced_sum`` of the
+    bodies reduced to its ``coords``, 0 if one is empty.  The zero cases
+    k = 0 and k > l measure no body, so they reduce none."""
+    if 0 < len(polytopes) <= frame.rank:
+        if any(P.is_empty for P in polytopes):
+            return 0
+        polytopes = [_reduce_to_frame(P, frame) for P in polytopes]
+    return _reduced_sum(polytopes, frame)
+
+
+def _reduced_sum(point_sets: Sequence[Sequence[Vec]], frame: LatticeFrame) -> int:
+    """``_frame_sum`` of nonempty point sets already on the frame's ``coords``.
 
     The one place that chooses the route: no body gives the empty
-    product, 1 in degree 0 and 0 above; more than l bodies or an empty
-    one give 0; otherwise the memo is ``_cayley_sum_of`` for k < l and
+    product, 1 in degree 0 and 0 above; more than l bodies give 0;
+    otherwise the memo is ``_cayley_sum_of`` for k < l and
     ``_mixed_sum_of`` for k = l.  It is keyed by the sorted canonical
-    projected point sets, so it is looked up before any work is done;
-    its sum is ``frame.index`` times the frame's.
+    point sets, so it is looked up before any work is done; its sum is
+    ``frame.index`` times the frame's.
     """
-    k, l = len(polytopes), frame.rank
+    k, l = len(point_sets), frame.rank
     if k == 0 or k > l:
         return int(k == l)
-    if any(P.is_empty for P in polytopes):
-        return 0
-    bodies = tuple(sorted(_canonical_pts(_reduce_to_frame(P, frame))
-                          for P in polytopes))
+    bodies = tuple(sorted(map(_canonical_pts, point_sets)))
     sum_of = _cayley_sum_of if k < l else _mixed_sum_of
     result, rem = divmod(sum_of(bodies, l), frame.index)
     assert rem == 0, "exponent sum failed to be a multiple of the index"

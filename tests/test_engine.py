@@ -661,8 +661,9 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # a cold n = 3 deformation reads each hyperplane lattice off its
     # covector, among them (0, 2, 3) and (3, 2, 3) of index 2; a kernel
     # frame per covector made 5 kernels and 40 reductions here,
-    # measuring the strata that cannot contribute made 29, and reducing
-    # a simplicial Cayley set's cell again after its rank test made 26
+    # measuring the strata that cannot contribute made 29, reducing
+    # a simplicial Cayley set's cell again after its rank test made 26,
+    # and reducing each face of two points for its dimension made 22
     for memo in (polytope._dd, volumes._mixed_sum_of, volumes._cayley_sum_of):
         memo.cache_clear()
     calls = {"reduce": 0, "kernel": 0}
@@ -683,7 +684,25 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     z, traces = zeta_deformation(spec, mode="origin", scope="affine")
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
-    assert calls == {"reduce": 22, "kernel": 0}
+    assert calls == {"reduce": 20, "kernel": 0}
+
+
+def test_stratum_measure_wraps_no_face(monkeypatch):
+    # the faces at each covector go to the frame sum as tuples: the only
+    # polytopes the deformation above builds are its Newton polytopes
+    built = []
+    post_init = polytope.LatticePolytope.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "__post_init__", counted)
+    spec = SystemSpec.from_supports(
+        3, [[[2, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 2], [3, 2, 1]]])
+    z, traces = zeta_deformation(spec, mode="origin", scope="affine")
+    assert z.factors == ((1, 2), (3, -1), (7, -1)) and len(traces) > 1
+    assert built == list(spec.newton_polytopes)
 
 
 def test_newton_polytopes_are_built_once_per_system(monkeypatch):
