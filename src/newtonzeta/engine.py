@@ -22,25 +22,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .lattice import (
-    Covector,
-    IntPoint,
-    LatticeFrame,
-    _dot,
-    _hyperplane_measure,
-    _rank,
-    orthogonal_line_generators,
-)
+from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure, _rank
 from .polytope import (
     LatticePolytope,
     Vec,
-    _dd,
     _sub,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
 from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
-from .volumes import _face_at, _minkowski_points, _reduced_sum
+from .volumes import _face_at, _minkowski_points, _normals, _reduced_sum
 
 __all__ = [
     "ZetaProduct",
@@ -188,15 +179,7 @@ def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
 def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
     """Sorted candidate covectors of point sets in Z^m: the facet normals of
     their sum, or the line normal to it (see ``candidate_covectors``)."""
-    pts = _minkowski_points(bodies, m)
-    verts, facets, _tights = _dd(pts, m)
-    if facets:
-        return sorted(a for a, _b in facets)
-    dirs = [IntPoint(_sub(pts[i], pts[verts[0]])) for i in verts[1:]]
-    try:
-        return sorted(b.comps for b in orthogonal_line_generators(dirs, m))
-    except ValueError:  # dimension below m - 1
-        return []
+    return sorted(_normals(_minkowski_points(bodies, m), m))
 
 
 def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:

@@ -58,14 +58,14 @@ __all__ = [
 Vec = tuple[int, ...]
 
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
-# over seeds 1-10 of every benchmark workload the largest round holds
-# 624 entries in ``_dd`` (polyzeta-cone), 562 in ``_cayley_sum_of``
-# (deform-affine) and 267 in ``_mixed_sum_of`` (mixedvol-d4), so no
-# round evicts, and the lifted Cayley sets bypass ``_dd``.  At the
+# over seeds 1-10 of every benchmark workload the largest cold pass
+# holds 694 entries in ``_q_sum_of`` (deform-affine; 1,006 with the
+# round's Euler checks) and 585 in ``_dd`` (polyzeta-cone; 605 in a
+# deform-affine round with its checks), so no round evicts.  At the
 # largest measured bytes per entry (tracemalloc's drop on each
-# ``cache_clear()``, ``_dd`` cleared last: 6.4 KB ``_dd`` and 1.1 KB
-# ``_mixed_sum_of``, both mixedvol-d4, and 0.7 KB ``_cayley_sum_of``,
-# deform-affine), the three memos hold about 67 MB when full.
+# ``cache_clear()``, ``_dd`` cleared last: 5.8 KB ``_dd`` and 1.7 KB
+# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 61 MB
+# when full.
 _MEMO_SIZE = 8192
 
 

@@ -4,15 +4,16 @@ The zeta factors raise (1 - t^m) to integer exponents obtained by
 evaluating the degree-l part of prod_i x_i/(1+x_i) on polytopes, where a
 monomial x_1^{a_1}...x_k^{a_k} stands for the normalized mixed volume of
 the bodies taken with those multiplicities.  Their sum over the
-compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is read off the
-mixed cells of one lifted Cayley hull of the faces, so no composition
-is enumerated and no mixed volume is taken on its own; a Cayley set of
-l + k points is its own single cell and takes no lift.  For k = l
-bodies the only composition is (1, ..., 1) and the sum is the one mixed
-volume l! MV(F_1, ..., F_l), measured by the mixed-area recursion over
-the facets of a sum of l - 1 faces, whose cost does not grow with the
-Cayley hull's cells that are not mixed.  ``volumes._frame_sum`` chooses
-the route and the zero cases, shared with ``volumes.mixed_volume_of``.
+compositions a >= 1 of l, (-1)^(l-k) sum_a l! MV(F^a), is measured by
+one mixed-area recursion over the facets of the faces' sum: it takes one
+copy of the first face out of every composition, and at each facet
+normal measures the faces there without that face minus with it, one
+degree down.  So no composition is enumerated and no mixed volume is
+taken on its own.  For k = l faces the only composition is (1, ..., 1)
+and the sum is the one mixed volume l! MV(F_1, ..., F_l).
+``volumes._frame_sum`` reduces the faces to the frame, and
+``volumes._q_sum_of`` decides the zero cases, shared with
+``volumes.mixed_volume_of``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def q_exponent(
     """Signed sum of mixed volumes over the compositions of degree l.
 
     The degree-0 case is purely combinatorial (1 for zero bodies, else 0)
-    and, like the other zero cases and the choice of route, is decided
-    by ``volumes._frame_sum`` before any geometry.
+    and, like the other zero cases, is decided by ``volumes._q_sum_of``
+    before any geometry.
     """
     if frame.rank != l:
         raise ValueError("frame rank must equal the exponent degree")

@@ -9,56 +9,50 @@ commutes with Minkowski sums) is divided by it.  A facet is measured by
 nonzero |a_j| of its primitive normal a, and divide the projection's
 (l-1)! measure by |a_j|, the index of the projected hyperplane lattice.
 
-The q-exponents of ``qforms`` are (-1)^(l-k) sum_a l! MV(F^a) over the
-compositions a >= 1 of l, body F_i of k bodies taken a_i times.
-``_cayley_sum_of`` reads the whole sum off one regular triangulation of
-the Cayley polytope (the Cayley trick: Huber-Sturmfels, Math. Comp. 64
-(1995); Huber-Rambau-Santos, JEMS 2 (2000)).  The Cayley points (p, e_i),
-with e_1 = 0 and e_i unit vectors, lie in Z^(l+k-1); each gets a
-generic integer height, and the lower facets of the lifted set are
-simplices, which project to the cells of a fine mixed subdivision of
-F_1 + ... + F_k.  A cell with a_i + 1 points from body i spans l
-edges, and adds |det E| of the edge rows to l! MV(F^a); so the sum is
-(-1)^(l-k) times sum |det E| over the cells in which every body has two
-points or more.  The heights come from ``random.Random`` seeded by the
-canonical input, so a run is deterministic; a lift is generic when its
-lower facets have l + k vertices, and the value does not depend on it.
-
-Mixed volumes, the case k = l, come from Minkowski's mixed-area
+The q-exponents of ``qforms`` are T_l(F) = (-1)^(l-k) sum_a l! MV(F^a)
+over the compositions a >= 1 of l, body F_i of k bodies taken a_i
+times.  A mixed volume is the case k = l, whose one composition is
+(1, ..., 1), and a volume is the mixed volume of l copies of one body.
+One memo, ``_q_sum_of``, measures them all by Minkowski's mixed-area
 recursion (Schneider, Convex Bodies: The Brunn-Minkowski Theory, 5.1):
-with P one body and Q the sum of the other l - 1, l! MV is the sum over
-the facets a.x >= b of Q (a primitive) of -min_P a times the (l-1)! MV
-of the other bodies' faces at a, in the hyperplane lattice of a
-(``_mixed_sum_of``).  One sum is built, of l - 1 bodies, where a
-polarization hulls and measures all 2^l - 1 subset sums, and only mixed
-terms are measured, where the Cayley route triangulates every cell of
-the Cayley polytope (four 4-boxes lift to about 710 lower cells, 16-18
-of them mixed).  A volume is the mixed volume of l copies of one body,
-and the recursion then reads l! Vol_l as a sum of lattice pyramids over
-its facets, with apex the origin (Lasserre's facet recursion).
-``_reduced_sum`` is the one place that decides the zero cases and the
-route, for ``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the
-engine's faces, which it takes as tuples.
+with P one body, l! MV(P, K_2, ..., K_l) is the sum over the primitive
+facet normals u of K_2 + ... + K_l of -min_P u times the (l-1)! MV of
+the K_i's faces at u, in u's hyperplane lattice.  Take one copy of P out
+of every composition: the rest keeps P when a_P >= 2 and drops it when
+a_P = 1, so
+
+    T_l(F) = sum_u (-min_P u) [T_(l-1)(faces at u but P's) - T_(l-1)(faces at u)],
+
+the "drop minus keep" form of ``qforms.q_tilde_exponent`` one degree
+down.  The u are the facet normals of the sum of all the bodies, whose
+normal fan refines every rest's.  For k = l, keeping P leaves l bodies
+in degree l - 1, which give 0, so the u are those of the others' sum.  No
+composition is enumerated and only faces at the normals are measured.
+For a volume the recursion reads l! Vol_l as a sum of lattice pyramids
+over its facets, with apex the origin (Lasserre's facet recursion).
+A set of l + k points of rank l is one simplex, measured by one
+determinant with no hull.  ``_reduced_sum`` builds the canonical key
+for ``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the engine's
+faces, which it takes as tuples; ``_q_sum_of`` decides every zero case.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
-by ``polytope._MEMO_SIZE``.  Each measured body runs one double
+by ``polytope._MEMO_SIZE``.  Each measured sum runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
-the vertices that extend it and the facets that measure it; a lifted
-Cayley set, seen once, bypasses that memo.  In ``_cayley_sum_of`` one
-reduction gives the rank, and for a simplicial Cayley set also the
-value; ``_mixed_sum_of`` tests the rank only when its sum has no facets.
+the vertices that extend it and the facets whose normals ``_normals``
+returns, for the recursion and for the engine's candidate covectors.
+One column reduction gives the rank of the bodies and, for a simplex,
+its value.  No pseudo-random value and no float enters a result.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
                       _span_coords)
@@ -69,10 +63,6 @@ __all__ = [
     "mixed_volume_of",
     "lattice_point_volume_oracle",
 ]
-
-# heights of the lifted Cayley points are drawn from [0, _HEIGHTS)
-_HEIGHTS = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # frame reduction
@@ -139,139 +129,95 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
 def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int:
     """(-1)^(l-k) sum_a l! MV(F^a) of k bodies over the compositions a >= 1
     of l = ``frame.rank``, measured in the frame: ``_reduced_sum`` of the
-    bodies reduced to its ``coords``, 0 if one is empty.  The zero cases
-    k = 0 and k > l measure no body, so they reduce none."""
-    if 0 < len(polytopes) <= frame.rank:
-        if any(P.is_empty for P in polytopes):
-            return 0
-        polytopes = [_reduce_to_frame(P, frame) for P in polytopes]
-    return _reduced_sum(polytopes, frame)
+    bodies reduced to its ``coords``, 0 if one is empty."""
+    if any(P.is_empty for P in polytopes):
+        return 0
+    return _reduced_sum([_reduce_to_frame(P, frame) for P in polytopes], frame)
 
 
 def _reduced_sum(point_sets: Sequence[Sequence[Vec]], frame: LatticeFrame) -> int:
     """``_frame_sum`` of nonempty point sets already on the frame's ``coords``.
 
-    The one place that chooses the route: no body gives the empty
-    product, 1 in degree 0 and 0 above; more than l bodies give 0;
-    otherwise the memo is ``_cayley_sum_of`` for k < l and
-    ``_mixed_sum_of`` for k = l.  It is keyed by the sorted canonical
-    point sets, so it is looked up before any work is done; its sum is
+    The memo ``_q_sum_of`` is keyed by the sorted canonical point sets,
+    so it is looked up before any work is done; its sum is
     ``frame.index`` times the frame's.
     """
-    k, l = len(point_sets), frame.rank
-    if k == 0 or k > l:
-        return int(k == l)
     bodies = tuple(sorted(map(_canonical_pts, point_sets)))
-    sum_of = _cayley_sum_of if k < l else _mixed_sum_of
-    result, rem = divmod(sum_of(bodies, l), frame.index)
+    result, rem = divmod(_q_sum_of(bodies, frame.rank), frame.index)
     assert rem == 0, "exponent sum failed to be a multiple of the index"
     return result
 
 
-def _lifts(key: object, count: int) -> Iterator[list[int]]:
-    """Heights in [0, _HEIGHTS) for ``count`` points, one list per lift.
+def _normals(pts: Sequence[Vec], d: int) -> list[Vec]:
+    """Primitive inner normals of the (d-1)-faces of conv(pts) in Z^d.
 
-    Seeded by the key, so each input is lifted the same way in every run.
+    ``pts`` hold the origin, as ``_minkowski_points`` gives them.  At
+    full rank these are the facet normals of ``_dd``; at rank d - 1 the
+    whole set is the one such face, cut by the two generators +-u of the
+    line of covectors constant on it; below that there are none.
     """
-    rng = random.Random(repr(key))
-    while True:
-        yield [rng.randrange(_HEIGHTS) for _ in range(count)]
+    facets = _dd(pts, d)[1]
+    if facets:
+        return [a for a, _b in facets]
+    pivots, kernel = _column_reduce(pts, d)
+    if len(pivots) < d - 1:
+        return []
+    (u,) = kernel
+    return [u, tuple(-c for c in u)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _cayley_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
-    """(-1)^(l-k) sum_a l! MV(F^a) of k canonical bodies in Z^l, a >= 1.
+def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
+    """T_l = (-1)^(l-k) sum_a l! MV(F^a) of k canonical bodies in Z^l.
 
-    The lower facets of the lifted Cayley points are the cells; a cell
-    in which every body has two points or more adds |det E| of its l
-    edge rows, the product of the pivot gcds of one reduction.  A point
-    body, or a rank below l, gives 0.  One reduction gives the rank, and
-    for a simplicial Cayley set also the value: its l + k points are its
-    one cell, with the nonzero ones (each canonical body holds the
-    origin) as edge rows.  Other sets are lifted until each cell is a
-    simplex; a lifted set is seen once, so its ``_dd`` bypasses the memo.
+    The zero cases are decided here: no body gives the empty product,
+    1 in degree 0 and 0 above; more than l bodies, a point body or a
+    rank below l give 0.  l = 1 is the lattice length of the one body.
+    A set of l + k points of rank l is one simplex: its l nonzero points
+    (each canonical body holds the origin once) are the edge rows, and
+    T_l is (-1)^(l-k) |det|, the product of the pivot gcds of the
+    reduction that tests the rank.  Otherwise T_l is the sum over the
+    ``_normals`` u of the distinct bodies' sum (the others' when k = l)
+    of -min_P u times T_(l-1) of the faces at u without P = bodies[0],
+    minus with it (see the module docstring), in u's hyperplane lattice.
+    A normal where P's minimum is 0, or where a face other than P's is a
+    point, adds 0.  Minkowski's relation, sum_u u MV(faces at u) = 0,
+    makes each term independent of where P lies, so the canonical keys
+    are sound.
     """
     k = len(bodies)
-    pts = [p for body in bodies for p in body]
-    if any(len(body) == 1 for body in bodies):
+    if k == 0:
+        return int(l == 0)
+    if k > l or any(len(body) == 1 for body in bodies):
         return 0
+    if l == 1:
+        return bodies[0][-1][0]
+    pts = [p for body in bodies for p in body]
     pivots = _column_reduce(pts, l)[0]
     if len(pivots) < l:
         return 0
     if len(pts) == l + k:
         return (-1) ** (l - k) * prod(g for _i, _col, g in pivots)
-    owner = [i for i, body in enumerate(bodies) for _p in body]
-    # (p, e_i) with e_0 = 0: the point, then the body's unit vector
-    cayley = [p + tuple(int(j == i) for j in range(1, k))
-              for p, i in zip(pts, owner)]
-    w = l + k
-    for heights in _lifts((bodies, l), len(cayley)):
-        # point 0, an apex above the first Cayley point, makes the set
-        # full-dimensional and lies on no lower facet
-        lifted = (cayley[0] + (max(heights) + 1,),) + tuple(
-            c + (h,) for c, h in zip(cayley, heights))
-        _verts, facets, tights = _dd.__wrapped__(lifted, w)
-        cells = [t for (a, _b), t in zip(facets, tights) if a[-1] > 0]
-        if all(len(cell) == w for cell in cells):
-            break
+    first, rest = bodies[0], bodies[1:]
+
+    def q_sum(faces: list[list[Vec]]) -> int:
+        return _q_sum_of(tuple(sorted(map(_canonical_pts, faces))), l - 1)
+
+    def drop_minus_keep(projected: list[list[Vec]]) -> int:
+        return q_sum(projected[1:]) - (q_sum(projected) if k < l else 0)
+
+    distinct = list(dict.fromkeys(rest if k == l else bodies))
     total = 0
-    for cell in cells:
-        by_body: list[list[Vec]] = [[] for _ in bodies]
-        for i in cell:
-            by_body[owner[i - 1]].append(pts[i - 1])
-        if all(len(c) >= 2 for c in by_body):
-            edges = [_sub(p, c[0]) for c in by_body for p in c[1:]]
-            pivots = _column_reduce(edges, l)[0]
-            assert len(pivots) == l, "mixed cell failed to be full-dimensional"
-            total += prod(g for _i, _col, g in pivots)
-    return (-1) ** (l - k) * total
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _mixed_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
-    """l! MV of l canonical bodies in Z^l, by the mixed-area recursion.
-
-    With P = bodies[0] and Q the sum of the others, it is the sum over
-    the facets a.x >= b of Q of -min_P a times the (l-1)! MV of the
-    others' faces at a, in a's hyperplane lattice.  Q sums the distinct
-    others only (``_minkowski_points``): it has the same facet normals.
-    A Q of rank l - 1 has one primitive normal u, and gives the width of
-    P along u times the measure of the others in u's hyperplane; a lower
-    rank gives 0.  A point body gives 0, a facet on which P's minimum is
-    0 or where a face (``_face_at``) is a point adds 0, and l = 1 is the
-    lattice length of P.
-    Minkowski's relation, sum_a a MV(faces at a) = 0, makes the sum
-    independent of where P lies, so the canonical keys are sound.
-    """
-    if any(len(body) == 1 for body in bodies):
-        return 0
-    last, rest = bodies[0], bodies[1:]
-    if l == 1:
-        return last[-1][0]
-
-    def measure(a: Vec, faces: Sequence[Sequence[Vec]]) -> int:
-        return _hyperplane_measure(a, faces, lambda projected: _mixed_sum_of(
-            tuple(sorted(map(_canonical_pts, projected))), l - 1))
-
-    distinct = list(dict.fromkeys(rest))
-    pts = _minkowski_points(distinct, l)
-    facets = _dd(pts, l)[1]
-    if not facets:
-        pivots, normals = _column_reduce(pts, l)
-        if len(pivots) < l - 1:
-            return 0
-        (u,) = normals
-        heights = [_dot(u, p) for p in last]
-        return (max(heights) - min(heights)) * measure(u, rest)
-    total = 0
-    for a, _b in facets:
-        low = min(_dot(a, p) for p in last)
+    for a in _normals(_minkowski_points(distinct, l), l):
+        low = min(_dot(a, p) for p in first)
         if not low:
             continue
         face_of = {body: _face_at(a, body) for body in distinct}
-        if any(len(f) == 1 for f in face_of.values()):
+        faces = [face_of[body] for body in rest]
+        if any(len(f) == 1 for f in faces):
             continue
-        total -= low * measure(a, [face_of[body] for body in rest])
+        total -= low * _hyperplane_measure(a, [_face_at(a, first)] + faces,
+                                           drop_minus_keep)
     return total
 
 
@@ -281,7 +227,7 @@ def mixed_volume_of(
     """l! times the lattice mixed volume of l bodies in an l-frame.
 
     The mixed-area recursion over the facets of a sum of l - 1 bodies
-    (``_mixed_sum_of``, through ``_frame_sum``).  Symmetric, integer,
+    (``_q_sum_of``, through ``_frame_sum``).  Symmetric, integer,
     nonnegative.  Any empty body gives 0, and no body in rank 0 gives 1.
     """
     if len(polytopes) != frame.rank:

@@ -5,24 +5,25 @@ the unimodular column reduction in newtonzeta.lattice.  The per-point
 rank test for vertices is the reference for the mask-based vertex test
 in newtonzeta.polytope.  The composition expansion of the q-exponents
 and the inclusion-exclusion over all 2^l Minkowski subset sums are the
-references for the exponents that newtonzeta.volumes reads off a lifted
-Cayley hull, and for its mixed volumes.  ``_abs_det`` is not a
-reference but a reading of the column reduction: the tests compare its
-pivot gcds with the Leibniz determinant and with a residue count.  One
-saturated kernel per facet of a simplex is the reference for the start
-cone that the double description reads off a single triangular
-substitution, and a saturated kernel frame per covector is the
-reference for the engine's stratum measure, which reads the hyperplane
-lattice off the covector instead.  ``zeta_by_strata`` is the reference
-for the engine's strata driver: it restricts every stratum with
-``restrict_system`` and skips none, where the engine reads each stratum
-once and skips those that cannot contribute.  ``facets_by_subsets``
-finds facets from the hyperplanes through every d-subset of the points,
-by signed minors; it is the reference for the double description in
-any input order.  ``expand_expression`` multiplies out an expression
-tree one term choice at a time, a power as k factors like any product;
-it is the reference for the polynomial parser, which it shares no code
-with.
+references for the exponents and mixed volumes that newtonzeta.volumes
+measures by the mixed-area recursion; on boxes, ``permanent`` of the
+side lengths is a closed form for each mixed volume.  ``_abs_det`` is
+not a reference but a reading of the column reduction: the tests
+compare its pivot gcds with the Leibniz determinant and with a residue
+count.  One saturated kernel per facet of a simplex is the reference
+for the start cone that the double description reads off a single
+triangular substitution, and a saturated kernel frame per covector is
+the reference for the engine's stratum measure, which reads the
+hyperplane lattice off the covector instead.  ``zeta_by_strata`` is the
+reference for the engine's strata driver: it restricts every stratum
+with ``restrict_system`` and skips none, where the engine reads each
+stratum once and skips those that cannot contribute.
+``facets_by_subsets`` finds facets from the hyperplanes through every
+d-subset of the points, by signed minors; it is the reference for the
+double description in any input order.  ``expand_expression``
+multiplies out an expression tree one term choice at a time, a power as
+k factors like any product; it is the reference for the polynomial
+parser, which it shares no code with.
 """
 
 from __future__ import annotations
@@ -162,6 +163,13 @@ def _leibniz_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix as a sum over permutations."""
     return sum(sign * prod(r[j] for r, j in zip(rows, perm))
                for sign, perm in _signed_permutations(len(rows)))
+
+
+def permanent(rows: Sequence[Sequence[int]]) -> int:
+    """Permanent of a square integer matrix as a sum over permutations:
+    l! MV of l boxes prod_j [0, s_ij] in Z^l, s_i the rows."""
+    return sum(prod(r[j] for r, j in zip(rows, perm))
+               for perm in permutations(range(len(rows))))
 
 
 def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):

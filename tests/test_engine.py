@@ -664,7 +664,7 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # measuring the strata that cannot contribute made 29, reducing
     # a simplicial Cayley set's cell again after its rank test made 26,
     # and reducing each face of two points for its dimension made 22
-    for memo in (polytope._dd, volumes._mixed_sum_of, volumes._cayley_sum_of):
+    for memo in (polytope._dd, volumes._q_sum_of):
         memo.cache_clear()
     calls = {"reduce": 0, "kernel": 0}
 

@@ -15,8 +15,7 @@ from tests.conftest import deformation_corpus, random_polytope, route_corpus
 
 MEMOS = {
     "newtonzeta.polytope._dd",
-    "newtonzeta.volumes._mixed_sum_of",
-    "newtonzeta.volumes._cayley_sum_of",
+    "newtonzeta.volumes._q_sum_of",
 }
 
 

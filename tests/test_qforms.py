@@ -21,6 +21,7 @@ from tests.conftest import random_polytope
 from tests.oracle import (
     Composition,
     mixed_volume_by_subsets,
+    permanent,
     q_compositions,
     q_exponent_by_compositions,
 )
@@ -254,24 +255,19 @@ def _exponent_cases(draw):
     return l, [P(*body) for body in bodies]
 
 
-def _cayley_sum(faces, frame):
-    """The Cayley route on its own, for any k: ``_cayley_sum_of`` on the
-    sorted canonical key that ``volumes._frame_sum`` builds (index 1)."""
-    key = tuple(sorted(volumes._canonical_pts(volumes._reduce_to_frame(f, frame))
-                       for f in faces))
-    return volumes._cayley_sum_of(key, frame.rank)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_exponent_cases())
 def test_cayley_sums_match_composition_oracle(case):
-    # q_exponent measures k = l by the mixed-area recursion, so the
-    # Cayley sum is also taken directly: it must hold for every k <= l
+    # the one recursion measures every k <= l, on the sorted key that
+    # q_exponent builds and on the drawn order, whose first body is the
+    # one measured by its support on the facets of the sum
     l, faces = case
     frame = LatticeFrame.standard(l)
     want = q_exponent_by_compositions(l, faces, frame)
     assert q_exponent(l, faces, frame) == want
-    assert _cayley_sum(faces, frame) == want
+    key = tuple(volumes._canonical_pts(volumes._reduce_to_frame(f, frame))
+                for f in faces)
+    assert volumes._q_sum_of(key, l) == want
 
 
 @st.composite
@@ -302,59 +298,76 @@ def _simplicial_cases(draw):
 
 
 def test_simplicial_cayley_sets_take_no_lift(monkeypatch):
-    # a Cayley set of l + k points is its own single cell, so its value is
-    # one determinant and no lift is drawn; values of 0, 1 and more occur
+    # a set of l + k points of rank l is one simplex, so its value is one
+    # determinant and no hull is taken; values of 0, 1 and more occur
     reached = set()
 
-    def no_lift(key, count):
-        raise AssertionError("a simplicial Cayley set was lifted")
+    def no_hull(pts, d):
+        raise AssertionError("a simplicial Cayley set was hulled")
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_simplicial_cases())
     def check(case):
         l, faces = case
         frame = LatticeFrame.standard(l)
-        volumes._cayley_sum_of.cache_clear()
         want = q_exponent_by_compositions(l, faces, frame)
-        assert _cayley_sum(faces, frame) == want
-        assert q_exponent(l, faces, frame) == want
-        assert q_tilde_exponent(l, faces[0], faces[1:], frame) == (
-            q_exponent_by_compositions(l, faces[1:], frame) - want
-        )
+        drop = q_exponent_by_compositions(l, faces[1:], frame)
+        volumes._q_sum_of.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(volumes, "_dd", no_hull)
+            assert q_exponent(l, faces, frame) == want
+            assert q_tilde_exponent(l, faces[0], faces[1:], frame) == drop - want
         reached.add(min(abs(want), 2))
 
-    monkeypatch.setattr(volumes, "_lifts", no_lift)
     check()
     assert reached == {0, 1, 2}
 
 
-def test_degenerate_lift_is_lifted_again(monkeypatch):
-    # flat heights put every Cayley point on one lower facet, which is no
-    # simplex for these bodies; the next lift is taken and gives the value.
-    # Each case has more than l + k vertices, so none is a simplex itself
-    lifts = volumes._lifts
-    relifts = []
 
-    def flat_first(key, count):
-        yield [0] * count
-        for heights in lifts(key, count):
-            relifts.append(key)
-            yield heights
+def _box_exponent(sides):
+    """(-1)^(l-k) sum_a perm(the side rows, row i repeated a_i times)."""
+    return sum(sign * permanent([row for row, a in zip(sides, comp.parts)
+                                 for _ in range(a)])
+               for comp, sign in q_compositions(len(sides[0]), len(sides)))
 
-    monkeypatch.setattr(volumes, "_lifts", flat_first)
-    square = P((0, 0), (1, 0), (0, 1), (1, 1))
-    cube = P(*[(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
-    cases = [
-        (2, [square]),
-        (2, [square, P((0, 0), (2, 1))]),
-        (3, [cube]),
-        (3, [cube, P((0, 0, 0), (1, 2, 0), (0, 1, 1))]),
-    ]
-    for l, faces in cases:
-        assert sum(len(f.vertices) for f in faces) > l + len(faces)
-        volumes._cayley_sum_of.cache_clear()
-        relifts.clear()
-        frame = LatticeFrame.standard(l)
-        value = _cayley_sum(faces, frame)
-        assert len(relifts) == 1
-        assert value == q_exponent_by_compositions(l, faces, frame)
+
+def _box(row, shift):
+    """The box prod_j [0, row_j], translated by shift."""
+    return P(*[tuple(map(add, corner, shift))
+               for corner in product(*[(0, a) for a in row])])
+
+
+@st.composite
+def _box_cases(draw):
+    """1 <= k < l <= 5 boxes with sides in 1..3, each shifted."""
+    rng = draw(st.randoms(use_true_random=False))
+    l = rng.randint(2, 5)
+    k = rng.randint(1, l - 1)
+    sides = [[rng.randint(1, 3) for _ in range(l)] for _ in range(k)]
+    shifts = [[rng.randint(-2, 2) for _ in range(l)] for _ in range(k)]
+    return sides, shifts
+
+
+def test_box_exponents_match_permanents():
+    # boxes are where a triangulation of every cell paid most (ROADMAP
+    # item 4): l! MV of boxes is the permanent of their side rows
+    for sides, want in [([(1, 2, 3, 1), (2, 1, 1, 3), (1, 1, 2, 2)], -536),
+                        ([(1, 2, 1, 3, 1), (2, 1, 2, 1, 1)], -3228)]:
+        l = len(sides[0])
+        assert _box_exponent(sides) == want
+        faces = [_box(row, (0,) * l) for row in sides]
+        assert q_exponent(l, faces, LatticeFrame.standard(l)) == want
+    reached = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_box_cases())
+    def check(case):
+        sides, shifts = case
+        l = len(sides[0])
+        faces = [_box(row, shift) for row, shift in zip(sides, shifts)]
+        assert q_exponent(l, faces, LatticeFrame.standard(l)) == _box_exponent(sides)
+        reached.add((len(sides), l))
+
+    check()
+    assert {l for _k, l in reached} == {2, 3, 4, 5}
+    assert {(1, 5), (4, 5)} <= reached

@@ -22,9 +22,9 @@ from newtonzeta import (
 from newtonzeta import volumes
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _count_lattice_points
-from perfbench.checks import bezout, permanent
+from perfbench.checks import bezout
 from tests.conftest import random_polytope
-from tests.oracle import _rank, mixed_volume_by_subsets
+from tests.oracle import _rank, mixed_volume_by_subsets, permanent
 
 
 def P(*coords):
@@ -339,7 +339,7 @@ def test_mixed_sums_match_subset_oracle():
         assert mixed_volume_of(bodies, frame) == want
         key = tuple(volumes._canonical_pts(volumes._reduce_to_frame(B, frame))
                     for B in bodies)
-        assert volumes._mixed_sum_of(key, l) == want
+        assert volumes._q_sum_of(key, l) == want
         if l == 1:
             branches.add("length")
         elif any(len(body) == 1 for body in key):
