@@ -23,7 +23,7 @@ from .engine import (
     zeta_deformation,
     zeta_polynomial,
 )
-from .polytope import dim
+from .polytope import HullTooLarge, dim
 from .lattice import LatticeFrame
 from .systems import (
     ParseError,
@@ -215,6 +215,17 @@ class Job:
             raise _fail("constraints", str(exc)) from exc
 
 
+def _hull_path(job: Job, points: tuple[tuple[int, ...], ...]) -> str:
+    """The path of the polynomial whose support ``points`` are, or of the
+    constraints when they are not one polynomial's (a sum's, or a
+    projection's)."""
+    named = [(f"constraints[{i}]", p) for i, p in enumerate(job.constraints)]
+    if job.objective is not None:
+        named.append(("objective", job.objective))
+    return next((path for path, p in named if tuple(e for e, _ in p.terms) == points),
+                "constraints")
+
+
 def _serialize_trace(trace: ContributionTrace, variables: Sequence[str]) -> dict:
     return {
         "stratum": [variables[i] for i in sorted(trace.index_set)],
@@ -348,6 +359,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = run(job)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except HullTooLarge as exc:
+        print(f"error: {_hull_path(job, exc.points)}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - contract: 3 on internal failure
         tb = exc.__traceback__

@@ -5,15 +5,18 @@ The result of every computation is a formal product prod (1 - t^m)^e
 with integer exponents.  Factors are indexed by strata (coordinate
 subspaces) and by primitive covectors; the covector enumeration is the
 load-bearing step, so its completeness argument is spelled out at
-``candidate_covectors``.  ``_over_strata`` reads each Newton polytope
-once per stratum I, as its vertices in I's subspace on the coordinates
-of I; that one reading gives the covectors, the faces at each, the
-objective's power and the boundary factor, and it skips, before any
-hull, a stratum whose every exponent is 0 by its count of bodies or by
-a point body.  The faces at a covector alpha go to the frame sum
-``volumes._reduced_sum`` as tuples, with no polytope built, on the
-coordinates of I less the one ``lattice._hyperplane_measure`` deletes,
-in the standard frame, and divided by the index of alpha's hyperplane.
+``candidate_covectors``.  ``_over_strata`` takes each Newton vertex's
+support, the bit mask of its nonzero coordinates, once per spec, and
+reads each polytope once per stratum I: the vertices whose mask lies in
+I's, on the coordinates of I.  That one reading gives the covectors, the
+faces at each, the objective's power and the boundary factor, and it
+skips, before any hull, a stratum whose every exponent is 0 by its count
+of bodies or by a point body.  The faces at a covector alpha go to the
+frame sum ``volumes._reduced_sum`` as tuples, with no polytope built, on
+the coordinates of I less the one ``lattice._hyperplane_measure``
+deletes, in the standard frame, and divided by the index of alpha's
+hyperplane.  A trace's face dimensions are ranks of the faces'
+differences, reduced as their transpose.
 """
 
 from __future__ import annotations
@@ -155,19 +158,23 @@ def candidate_covectors(
             raise ValueError("candidate covectors need nonempty polytopes")
         if P.ambient_dim != ambient_dim:
             raise ValueError("polytope dimension does not match ambient")
-        bodies.append(_on_stratum(P, idx))
+        bodies.append(_on_stratum(_supports(P), idx))
         if len(bodies[-1]) < len(P.vertices):
             raise ValueError("polytope not contained in the index subspace")
     return [_embed(a, idx, ambient_dim) for a in _covectors(bodies, len(idx))]
 
 
-def _on_stratum(P: LatticePolytope, idx: Sequence[int]) -> list[Vec]:
-    """P's vertices in the coordinate subspace of I, on the coordinates of I:
-    those whose coordinates on I carry their whole absolute 1-norm.  On the
-    subspace, dropping the other coordinates is a lattice bijection."""
-    verts = P.raw_vertices()
-    on_i = [tuple(v[i] for i in idx) for v in verts]
-    return [p for p, v in zip(on_i, verts) if sum(map(abs, p)) == sum(map(abs, v))]
+def _supports(P: LatticePolytope) -> list[tuple[Vec, int]]:
+    """P's vertices, each with the bit mask of its nonzero coordinates."""
+    return [(v, sum(1 << i for i, c in enumerate(v) if c)) for v in P.raw_vertices()]
+
+
+def _on_stratum(supports: Sequence[tuple[Vec, int]], idx: Sequence[int]) -> list[Vec]:
+    """The vertices in the coordinate subspace of I, on the coordinates of I:
+    those whose support mask lies in I's.  On the subspace, dropping the
+    other coordinates is a lattice bijection."""
+    outside = ~sum(1 << i for i in idx)
+    return [tuple([v[i] for i in idx]) for v, mask in supports if not mask & outside]
 
 
 def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
@@ -183,8 +190,11 @@ def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
 
 
 def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:
-    """The affine dimension of each set of distinct points (size - 1 up to 2)."""
-    return tuple(len(pts) - 1 if len(pts) < 3 else _rank([_sub(p, pts[0]) for p in pts[1:]])
+    """The affine dimension of each set of distinct points (size - 1 up to
+    2): the rank of its differences, reduced as their transpose, with one
+    column per difference."""
+    return tuple(len(pts) - 1 if len(pts) < 3
+                 else _rank(list(zip(*[_sub(p, pts[0]) for p in pts[1:]])))
                  for pts in point_sets)
 
 
@@ -235,8 +245,9 @@ def _over_strata(
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
     """The product of all traces' factors, with the traces in stratum order.
 
-    Each of ``spec.newton_polytopes`` is read once per stratum I, by
-    ``_on_stratum``; a constraint with no vertex there misses I and is
+    The support masks of ``spec.newton_polytopes`` are taken once, and
+    each polytope is read once per stratum I by ``_on_stratum``, a subset
+    test per vertex; a constraint with no vertex there misses I and is
     dropped, and the objective, if any, leads the bodies ``stratum`` gets.
     Every exponent of I is a q-form of its faces, which is 0 when it has
     more bodies than its degree or a point body, so a stratum adds no
@@ -248,10 +259,11 @@ def _over_strata(
       every covector, and it is a body of every exponent;
     - the objective misses I: the stratum contributes 1 (``zeta_polynomial``).
     """
+    supports = [_supports(P) for P in spec.newton_polytopes]
     traces: list[ContributionTrace] = []
     for index_set in _strata_for(spec.n, scope, must_contain_last):
         idx = sorted(index_set)
-        read = [_on_stratum(P, idx) for P in spec.newton_polytopes]
+        read = [_on_stratum(s, idx) for s in supports]
         objective = [read.pop()] if spec.objective is not None else []
         bodies = [pts for pts in read if pts]
         if (len(bodies) >= len(idx) or any(len(pts) == 1 for pts in bodies)

@@ -10,7 +10,9 @@ projected onto coordinates independent on its affine hull, and has
 vertices but no facets.  ``_dd`` is memoized on the point tuple by
 ``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the same
 polytopes recur heavily in mixed-volume work; its ``cache_info()``
-reports size and hit rate, ``cache_clear()`` empties it.
+reports size and hit rate, ``cache_clear()`` empties it.  A sweep that
+passes ``_MAX_RAYS`` live rays raises ``HullTooLarge``, so no input
+runs on for minutes; the memo stores no error.
 
 The sweep inserts the points after its start cone farthest from their
 centroid first; its outputs are sorted and indexed by input position, so
@@ -43,6 +45,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "HullTooLarge",
     "LatticePolytope",
     "FaceRecord",
     "hull",
@@ -59,7 +62,7 @@ Vec = tuple[int, ...]
 
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
 # over seeds 1-10 of every benchmark workload the largest cold pass
-# holds 694 entries in ``_q_sum_of`` (deform-affine; 1,006 with the
+# holds 607 entries in ``_q_sum_of`` (deform-affine; 833 with the
 # round's Euler checks) and 585 in ``_dd`` (polyzeta-cone; 605 in a
 # deform-affine round with its checks), so no round evicts.  At the
 # largest measured bytes per entry (tracemalloc's drop on each
@@ -67,6 +70,25 @@ Vec = tuple[int, ...]
 # ``_q_sum_of``, both mixedvol-d4), the two memos hold about 61 MB
 # when full.
 _MEMO_SIZE = 8192
+
+# Bound on the live rays of one double description, checked after each
+# point that cuts a ray: over seeds 1-10 of every benchmark workload no
+# sweep holds more than 88 (mixedvol-d4), and the mixed volumes of five
+# random 7-point bodies in [0,4]^5 (seeds 1-3) peak at 2,038.  The
+# facets of a hull can grow like N^(d/2) (McMullen's upper bound
+# theorem): 60 random points of [0,9]^8 pass the bound after 3.4 s of
+# CPU on a 2-core Xeon, where the sweep would run for minutes.
+_MAX_RAYS = 4096
+
+
+class HullTooLarge(ValueError):
+    """A point set whose double description passes ``_MAX_RAYS`` live
+    rays; ``points`` is the set, and no memo stores the error."""
+
+    def __init__(self, points: tuple[Vec, ...]):
+        super().__init__(f"the convex hull of {len(points)} points in dimension "
+                         f"{len(points[0])} needs more than {_MAX_RAYS} rays")
+        self.points = points
 
 
 def _sub(p: Vec, q: Vec) -> Vec:
@@ -233,6 +255,8 @@ def _dd(
             merged[r] = m
         rays = list(merged.keys())
         masks = [merged[r] for r in rays]
+        if len(rays) > _MAX_RAYS:
+            raise HullTooLarge(pts)
 
     # a point is a vertex when the AND of the masks through it is its bit
     common = [-1] * len(order)

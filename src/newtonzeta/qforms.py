@@ -12,7 +12,7 @@ degree down.  So no composition is enumerated and no mixed volume is
 taken on its own.  For k = l faces the only composition is (1, ..., 1)
 and the sum is the one mixed volume l! MV(F_1, ..., F_l).
 ``volumes._frame_sum`` reduces the faces to the frame, and
-``volumes._q_sum_of`` decides the zero cases, shared with
+``volumes._q_sum`` decides the zero cases, shared with
 ``volumes.mixed_volume_of``.
 """
 
@@ -33,7 +33,7 @@ def q_exponent(
     """Signed sum of mixed volumes over the compositions of degree l.
 
     The degree-0 case is purely combinatorial (1 for zero bodies, else 0)
-    and, like the other zero cases, is decided by ``volumes._q_sum_of``
+    and, like the other zero cases, is decided by ``volumes._q_sum``
     before any geometry.
     """
     if frame.rank != l:

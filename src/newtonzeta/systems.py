@@ -126,8 +126,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# polynomial values while parsing: {exponent tuple: coefficient}
-_Terms = dict[tuple[int, ...], Fraction]
+# polynomial values while parsing: {exponent tuple: coefficient}, an int
+# unless a "/" made it a Fraction
+_Terms = dict[tuple[int, ...], int | Fraction]
 
 # a product forming more term pairs than this is rejected: it bounds the
 # time and memory of each multiplication in an expansion
@@ -165,9 +166,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.variables = list(variables)
-        self.var_index = {v: i for i, v in enumerate(variables)}
-        self.n = len(self.variables)
+        n = len(variables)
+        self.zero = (0,) * n
+        self.units = {v: (0,) * i + (1,) + (0,) * (n - i - 1)
+                      for i, v in enumerate(variables)}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -205,7 +207,7 @@ class _Parser:
                 rhs = self.parse_term()
                 sign = 1 if val == "+" else -1
                 for e, c in rhs.items():
-                    value[e] = value.get(e, Fraction(0)) + sign * c
+                    value[e] = value.get(e, 0) + sign * c
                     if value[e] == 0:
                         del value[e]
             else:
@@ -255,17 +257,13 @@ class _Parser:
                 den = _int_literal(val3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            zero = tuple(0 for _ in range(self.n))
-            return ({zero: coeff} if coeff else {}), True
+                num = Fraction(num, den)
+            return ({self.zero: num} if num else {}), True
         if kind == "NAME":
-            idx = self.var_index.get(val)
-            if idx is None:
+            exps = self.units.get(val)
+            if exps is None:
                 raise ParseError(f"unknown variable {val!r}", at)
-            exps = tuple(1 if i == idx else 0 for i in range(self.n))
-            return {exps: Fraction(1)}, False
+            return {exps: 1}, False
         if kind == "OP" and val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
@@ -291,7 +289,7 @@ class _Parser:
             for ea, ca in a.items():
                 for eb, cb in b.items():
                     e = tuple(x + y for x, y in zip(ea, eb))
-                    c = out.get(e, Fraction(0)) + ca * cb
+                    c = out.get(e, 0) + ca * cb
                     if c:
                         out[e] = c
                     elif e in out:
@@ -305,8 +303,7 @@ class _Parser:
         if len(a) == 1 and abs(next(iter(a.values()))) == 1:
             ((e, c),) = a.items()
             return {tuple(k * x for x in e): c ** (k & 1)}
-        zero = tuple(0 for _ in range(self.n))
-        result = {zero: Fraction(1)}
+        result = {self.zero: 1}
         while k:
             if k & 1:
                 result = self._mul(result, a, at)

@@ -31,9 +31,11 @@ composition is enumerated and only faces at the normals are measured.
 For a volume the recursion reads l! Vol_l as a sum of lattice pyramids
 over its facets, with apex the origin (Lasserre's facet recursion).
 A set of l + k points of rank l is one simplex, measured by one
-determinant with no hull.  ``_reduced_sum`` builds the canonical key
-for ``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the engine's
-faces, which it takes as tuples; ``_q_sum_of`` decides every zero case.
+determinant with no hull.  ``_q_sum`` decides the zero cases by counting
+(no body, more bodies than l, a point body) and builds the canonical key
+for every other case, so the memo stores no zero answer; it serves
+``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the engine's
+faces, which ``_reduced_sum`` takes as tuples, and the recursion itself.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation.
 
@@ -136,16 +138,28 @@ def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int
 
 
 def _reduced_sum(point_sets: Sequence[Sequence[Vec]], frame: LatticeFrame) -> int:
-    """``_frame_sum`` of nonempty point sets already on the frame's ``coords``.
-
-    The memo ``_q_sum_of`` is keyed by the sorted canonical point sets,
-    so it is looked up before any work is done; its sum is
-    ``frame.index`` times the frame's.
-    """
-    bodies = tuple(sorted(map(_canonical_pts, point_sets)))
-    result, rem = divmod(_q_sum_of(bodies, frame.rank), frame.index)
+    """``_frame_sum`` of nonempty point sets already on the frame's ``coords``:
+    ``_q_sum`` in Z^l, which is ``frame.index`` times the frame's."""
+    result, rem = divmod(_q_sum(point_sets, frame.rank), frame.index)
     assert rem == 0, "exponent sum failed to be a multiple of the index"
     return result
+
+
+def _q_sum(point_sets: Sequence[Sequence[Vec]], l: int) -> int:
+    """T_l of k nonempty sets of distinct points in Z^l (see ``_q_sum_of``).
+
+    The zero cases are decided here, before a key is built: no set gives
+    the empty product, 1 in degree 0 and 0 above; more than l sets, or a
+    one-point set, give 0, since every composition takes each body at
+    least once.  Any other case is looked up in the memo ``_q_sum_of``,
+    keyed by the sorted canonical sets, so no zero answer is stored.
+    """
+    k = len(point_sets)
+    if not k:
+        return int(l == 0)
+    if k > l or any(len(pts) == 1 for pts in point_sets):
+        return 0
+    return _q_sum_of(tuple(sorted(map(_canonical_pts, point_sets))), l)
 
 
 def _normals(pts: Sequence[Vec], d: int) -> list[Vec]:
@@ -168,11 +182,10 @@ def _normals(pts: Sequence[Vec], d: int) -> list[Vec]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
-    """T_l = (-1)^(l-k) sum_a l! MV(F^a) of k canonical bodies in Z^l.
+    """T_l = (-1)^(l-k) sum_a l! MV(F^a) of 1 <= k <= l canonical bodies in
+    Z^l, none of them a point; ``_q_sum`` decides the other cases.
 
-    The zero cases are decided here: no body gives the empty product,
-    1 in degree 0 and 0 above; more than l bodies, a point body or a
-    rank below l give 0.  l = 1 is the lattice length of the one body.
+    A rank below l gives 0.  l = 1 is the lattice length of the one body.
     A set of l + k points of rank l is one simplex: its l nonzero points
     (each canonical body holds the origin once) are the edge rows, and
     T_l is (-1)^(l-k) |det|, the product of the pivot gcds of the
@@ -186,10 +199,6 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     are sound.
     """
     k = len(bodies)
-    if k == 0:
-        return int(l == 0)
-    if k > l or any(len(body) == 1 for body in bodies):
-        return 0
     if l == 1:
         return bodies[0][-1][0]
     pts = [p for body in bodies for p in body]
@@ -200,11 +209,8 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
         return (-1) ** (l - k) * prod(g for _i, _col, g in pivots)
     first, rest = bodies[0], bodies[1:]
 
-    def q_sum(faces: list[list[Vec]]) -> int:
-        return _q_sum_of(tuple(sorted(map(_canonical_pts, faces))), l - 1)
-
     def drop_minus_keep(projected: list[list[Vec]]) -> int:
-        return q_sum(projected[1:]) - (q_sum(projected) if k < l else 0)
+        return _q_sum(projected[1:], l - 1) - _q_sum(projected, l - 1)
 
     distinct = list(dict.fromkeys(rest if k == l else bodies))
     total = 0

@@ -23,7 +23,12 @@ d-subset of the points, by signed minors; it is the reference for the
 double description in any input order.  ``expand_expression``
 multiplies out an expression tree one term choice at a time, a power as
 k factors like any product; it is the reference for the polynomial
-parser, which it shares no code with.
+parser, which it shares no code with.  ``on_stratum_by_norms`` reads a
+stratum by comparing 1-norms, the reference for the engine's read by
+support masks.  ``newton_number`` is Kouchnirenko's closed form for the
+Euler characteristic of a generic fiber, from volumes that
+``lattice_point_volume_oracle`` counts: it shares no code with the
+mixed-area recursion that measures every zeta exponent.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, prod
+from math import factorial, gcd, prod
 from typing import Sequence
 
 from newtonzeta import (
@@ -46,6 +51,8 @@ from newtonzeta import (
     candidate_covectors,
     dim,
     face,
+    hull,
+    lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     q_exponent,
@@ -412,3 +419,34 @@ def expand_expression(tree: Expression, n: int) -> dict[tuple[int, ...], Fractio
     for c, e in terms(tree):
         collected[e] = collected.get(e, Fraction(0)) + c
     return {e: c for e, c in collected.items() if c}
+
+
+def on_stratum_by_norms(
+    vertices: Sequence[tuple[int, ...]], idx: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The vertices in the coordinate subspace of I, on the coordinates of
+    I: those whose coordinates on I carry their whole absolute 1-norm."""
+    on_i = [tuple(v[i] for i in idx) for v in vertices]
+    return [p for p, v in zip(on_i, vertices) if sum(map(abs, p)) == sum(map(abs, v))]
+
+
+def newton_number(support: Sequence[tuple[int, ...]], n: int) -> int:
+    """Kouchnirenko's Newton number of a convenient support without the
+    origin (Invent. Math. 32, 1976): with D = conv(support and 0),
+
+        nu = sum_I (-1)^(n-|I|) |I|! Vol_|I|(D on the coordinates of I),
+
+    where I = {} adds (-1)^n.  D lies in the nonnegative orthant, so its
+    part in the subspace of I is the hull of the points there.  A generic
+    f of that support has a fiber f = t of Euler characteristic
+    1 + (-1)^(n-1) nu."""
+    nu = Fraction((-1) ** n)
+    for size in range(1, n + 1):
+        for idx in combinations(range(n), size):
+            pts = {tuple(p[i] for i in idx) for p in support
+                   if not any(c for j, c in enumerate(p) if j not in idx)}
+            body = hull([IntPoint(p) for p in pts | {(0,) * size}])
+            vol = lattice_point_volume_oracle(body, LatticeFrame.standard(size))
+            nu += (-1) ** (n - size) * factorial(size) * vol
+    assert nu.denominator == 1, "Newton number failed to be an integer"
+    return int(nu)

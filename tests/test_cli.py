@@ -1,6 +1,7 @@
 """The command-line front end: dispatch, documents, determinism, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from newtonzeta import polytope
 from newtonzeta.cli import _MAX_TERMS, TASKS, main
 
 
@@ -183,6 +185,29 @@ def test_oversized_term_counts_are_input_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["info", path])
         assert code == 0
         assert json.loads(out)["constraints"][0]["terms"] == _MAX_TERMS
+
+
+def test_high_dimensional_hulls_are_input_errors(tmp_path, capsys):
+    # 60 random points of [0,9]^8: the hull's facets grow like N^(n/2),
+    # and its double description passes polytope._MAX_RAYS within seconds
+    # instead of running for minutes; the path names the polynomial, and
+    # the memo keeps no entry for it
+    rng = random.Random(1)
+    support = []
+    while len(support) < 60:
+        point = [rng.randint(0, 9) for _ in range(8)]
+        if point not in support:
+            support.append(point)
+    small = [[int(i == j) for j in range(8)] for i in range(9)]  # a simplex
+    path = write_job(tmp_path, {"n": 8, "constraints": [small, {"support": support}]})
+    cached = polytope._dd.cache_info().currsize
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["info", path])
+    assert time.perf_counter() - start < 30
+    assert code == 2 and not out
+    assert err.startswith("error: constraints[1]: the convex hull of 60 points "
+                          "in dimension 8 needs more than 4096 rays")
+    assert polytope._dd.cache_info().currsize == cached + 1  # the simplex alone
 
 
 def test_schema_error_has_field_path(tmp_path, capsys):

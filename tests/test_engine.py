@@ -31,7 +31,8 @@ from newtonzeta import engine, lattice, polytope, systems, volumes
 from newtonzeta.engine import _strata_for
 from newtonzeta.lattice import _column_reduce, _int_kernel
 from tests.conftest import deformation_corpus, random_support
-from tests.oracle import stratum_frame, stratum_traces, zeta_by_strata
+from tests.oracle import (newton_number, on_stratum_by_norms, stratum_frame,
+                          stratum_traces, zeta_by_strata)
 
 
 def P(*coords):
@@ -453,6 +454,36 @@ def test_polynomial_degree_equals_generic_fiber_chi():
         assert z.degree() == chi
 
 
+@st.composite
+def _convenient_supports(draw):
+    """n <= 3: a point c_i e_i on every axis, c_i <= 3, and up to three
+    other nonzero points of [0, 2]^n."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 3)
+    axes = {tuple(rng.randint(1, 3) * (j == i) for j in range(n)) for i in range(n)}
+    box = [p for p in product(range(3), repeat=n) if any(p)]
+    return n, sorted(axes | set(rng.sample(box, rng.randint(0, min(3, len(box))))))
+
+
+def test_affine_degree_is_kouchnirenkos_fiber_chi():
+    # a convenient objective with f(0) = 0: the affine zeta has the degree
+    # 1 + (-1)^(n-1) nu of Kouchnirenko's Newton number, counted by the
+    # lattice-point oracle with no mixed-area recursion
+    sup = [(3, 0, 0), (0, 4, 0), (0, 0, 5), (1, 1, 1)]
+    z, _ = zeta_polynomial(SystemSpec.from_supports(3, [], sup), scope="affine")
+    assert z.factors == ((1, 13), (3, 1), (4, 1), (5, 1))
+    assert z.degree() == 25 == 1 + newton_number(sup, 3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_convenient_supports())
+    def check(case):
+        n, sup = case
+        z, _ = zeta_polynomial(SystemSpec.from_supports(n, [], sup), scope="affine")
+        assert z.degree() == 1 + (-1) ** (n - 1) * newton_number(sup, n)
+
+    check()
+
+
 def test_monomial_change_fixing_parameter_axis():
     # a monomial substitution on the non-parameter variables is an
     # automorphism of the torus fixing the parameter, so the torus-scope
@@ -600,6 +631,26 @@ def test_stratum_measure_matches_kernel_frames(spec):
         assert trace.exponent == want, trace
 
 
+@st.composite
+def _signed_polytopes(draw):
+    """A hull of points of [-2, 2]^n, n <= 4, half their coordinates 0,
+    and a nonempty index set."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 4)
+    coords = [0, 0, 0, 0, -2, -1, 1, 2]
+    pts = {tuple(rng.choice(coords) for _ in range(n)) for _ in range(rng.randint(1, 8))}
+    idx = sorted(rng.sample(range(n), rng.randint(1, n)))
+    return P(*pts), idx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_signed_polytopes())
+def test_stratum_read_by_masks_matches_the_norm_rule(case):
+    body, idx = case
+    got = engine._on_stratum(engine._supports(body), idx)
+    assert got == on_stratum_by_norms(body.raw_vertices(), idx)
+
+
 # ---------------------------------------------------------------------------
 # the strata driver against the oracle that skips no stratum
 # ---------------------------------------------------------------------------
@@ -685,6 +736,13 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
     assert calls == {"reduce": 20, "kernel": 0}
+    # a warm repeat reduces 10 times: twice for the checks of each of the
+    # three measured strata's standard frames, once for the line normal of
+    # each of the two flat sums, and once for the dimension of each of the
+    # two faces of three points; no stratum read and no zero key reduces
+    calls.update(reduce=0)
+    assert zeta_deformation(spec, mode="origin", scope="affine") == (z, traces)
+    assert calls == {"reduce": 10, "kernel": 0}
 
 
 def test_stratum_measure_wraps_no_face(monkeypatch):

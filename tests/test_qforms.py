@@ -267,7 +267,9 @@ def test_cayley_sums_match_composition_oracle(case):
     assert q_exponent(l, faces, frame) == want
     key = tuple(volumes._canonical_pts(volumes._reduce_to_frame(f, frame))
                 for f in faces)
-    assert volumes._q_sum_of(key, l) == want
+    assert volumes._q_sum(key, l) == want
+    if all(len(body) > 1 for body in key):  # the memo takes no zero key
+        assert volumes._q_sum_of(key, l) == want
 
 
 @st.composite

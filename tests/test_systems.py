@@ -43,6 +43,20 @@ def test_parse_rational_coefficients():
     assert p.as_dict() == {(1,): Fraction(1, 2), (0,): Fraction(3, 4)}
 
 
+def test_parsed_coefficients_are_fractions():
+    # the parser works in ints until a "/", and the stored terms are all
+    # Fractions, integer-only text too; the printed text parses back to
+    # the same terms, types included
+    variables = ["x", "y"]
+    for text in ("3*x^2*y - 2*(x + y)^2 + 7", "4/2*x - y^3", "-(x - 1)^3"):
+        p = parse_polynomial(text, variables)
+        assert all(type(c) is Fraction for _e, c in p.terms), text
+        again = parse_polynomial(format_polynomial(p, variables), variables)
+        assert again == p
+        assert [type(c) for _e, c in again.terms] == [Fraction] * len(p.terms)
+    assert parse_polynomial("4/2*x - y^3", variables).as_dict() == {(1, 0): 2, (0, 3): -1}
+
+
 def test_parse_coefficient_variable_juxtaposition():
     p = parse_polynomial("3z1^2 + 2 z2", ["z1", "z2"])
     assert p.as_dict() == {(2, 0): 3, (0, 1): 2}

@@ -339,11 +339,13 @@ def test_mixed_sums_match_subset_oracle():
         assert mixed_volume_of(bodies, frame) == want
         key = tuple(volumes._canonical_pts(volumes._reduce_to_frame(B, frame))
                     for B in bodies)
+        assert volumes._q_sum(key, l) == want
+        if any(len(body) == 1 for body in key):
+            branches.add("point")  # decided by _q_sum: the memo takes no zero key
+            return
         assert volumes._q_sum_of(key, l) == want
         if l == 1:
             branches.add("length")
-        elif any(len(body) == 1 for body in key):
-            branches.add("point")
         else:
             rank = _rank([p for body in key[1:] for p in body])
             branches.add({l: "facets", l - 1: "flat"}.get(rank, "low"))
