@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .engine import (
@@ -217,8 +218,7 @@ class Job:
 
 def _hull_path(job: Job, points: tuple[tuple[int, ...], ...]) -> str:
     """The path of the polynomial whose support ``points`` are, or of the
-    constraints when they are not one polynomial's (a sum's, or a
-    projection's)."""
+    constraints when they are not one polynomial's (a sum's)."""
     named = [(f"constraints[{i}]", p) for i, p in enumerate(job.constraints)]
     if job.objective is not None:
         named.append(("objective", job.objective))
@@ -255,6 +255,60 @@ def _zeta_result(
     if job.trace:
         result["traces"] = [_serialize_trace(t, job.variables) for t in traces]
     return result
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``out``, each
+    line of the value opened by ``newline`` (a "\\n" and its indent).
+
+    ``json`` runs its pure-Python encoder whenever an indent is given;
+    this writer reuses its C string encoder and gives the same bytes for
+    the values a result holds: dicts with str keys, lists, str, int,
+    bool and None.  Any other value raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, indent=2)`` for a result document."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
 
 
 def run(job: Job) -> dict:
@@ -372,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 3
 
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(_dumps(result) + "\n")
     if args.pretty and "pretty" in result:
         print(result["pretty"], file=sys.stderr)
     return 0

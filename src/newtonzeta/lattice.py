@@ -283,7 +283,10 @@ class LatticeFrame:
     deleting coordinates: the projection onto ``coords``, the greedy
     coordinates independent on the span, is injective on it and maps the
     frame lattice onto a sublattice of index ``index`` = |det| of the
-    basis restricted to ``coords``.
+    basis restricted to ``coords``.  A basis of distinct unit vectors,
+    such as ``standard(n)``'s, is read off directly: it is independent
+    and saturated, its ``coords`` are its positions and its ``normals``
+    the other unit vectors, as the reductions would give.
     """
 
     origin: IntPoint
@@ -300,12 +303,21 @@ class LatticeFrame:
         rows = [b.coords for b in self.basis]
         if any(len(r) != self.ambient_dim for r in rows):
             raise ValueError("frame basis vector has wrong dimension")
-        pivots, normals = _column_reduce(rows, self.ambient_dim)
-        if len(pivots) < len(rows):
-            raise ValueError("frame basis is linearly dependent")
-        if any(g != 1 for _i, _col, g in pivots):
-            raise ValueError("frame basis does not generate a saturated lattice")
-        coords, index = _span_coords(rows, pivots)
+        n = self.ambient_dim
+        ones = {r.index(1) for r in rows if r.count(0) == n - 1 and 1 in r}
+        if len(ones) == len(rows):
+            # distinct unit vectors: the reduction would pivot on each with
+            # gcd 1 and keep the other unit columns, in order
+            coords, index = tuple(sorted(ones)), 1
+            normals = [(0,) * j + (1,) + (0,) * (n - j - 1)
+                       for j in range(n) if j not in ones]
+        else:
+            pivots, normals = _column_reduce(rows, n)
+            if len(pivots) < len(rows):
+                raise ValueError("frame basis is linearly dependent")
+            if any(g != 1 for _i, _col, g in pivots):
+                raise ValueError("frame basis does not generate a saturated lattice")
+            coords, index = _span_coords(rows, pivots)
         object.__setattr__(self, "normals", tuple(normals))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "index", index)

@@ -198,7 +198,10 @@ def _dd(
     if len(pivots) < w:
         keep = [j - 1 for j in _span_coords(rows, pivots)[0][1:]]
         proj = tuple(tuple(p[j] for j in keep) for p in pts)
-        return _dd(proj, len(keep))[0], (), ()
+        try:
+            return _dd(proj, len(keep))[0], (), ()
+        except HullTooLarge:
+            raise HullTooLarge(pts) from None  # the caller's set, not the projection
     init_idx = [i for i, _col, _g in pivots]
 
     # the other points farthest from the centroid first: n|p|^2 - 2 p.s,

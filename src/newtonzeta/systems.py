@@ -170,6 +170,7 @@ class _Parser:
         self.zero = (0,) * n
         self.units = {v: (0,) * i + (1,) + (0,) * (n - i - 1)
                       for i, v in enumerate(variables)}
+        self.index = {v: i for i, v in enumerate(variables)}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -214,7 +215,7 @@ class _Parser:
                 return value
 
     def parse_term(self) -> _Terms:
-        value, numeric = self.parse_factor()
+        value, numeric = self._scan_monomial() or self.parse_factor()
         while True:
             kind, val, at = self.peek()
             if kind == "OP" and val == "*":
@@ -229,6 +230,53 @@ class _Parser:
                 raise ParseError("implicit multiplication requires '*'", at)
             else:
                 return value
+
+    def _scan_monomial(self) -> tuple[_Terms, bool] | None:
+        """The term's leading integer and variable factors (each variable
+        maybe raised to ``^ NUM``), multiplied in one pass, and whether
+        the last was a number; None when there is none.
+
+        The scan stops before the first factor of any other kind (a "/",
+        a power of a number, a "(" or an unknown name) and before its
+        "*", so ``parse_term`` goes on from the partial term exactly as
+        its own products would have; a coefficient that reaches the bound
+        puts the term back whole, for ``parse_factor`` to read and report.
+        """
+        tokens, index = self.tokens, self.index
+        start = pos = self.pos
+        coeff, exps, numeric = 1, list(self.zero), None
+        while True:
+            kind, val, at = tokens[pos]
+            if kind == "NUM" and tokens[pos + 1][1] not in ("/", "^"):
+                coeff *= _int_literal(val, at)
+                if coeff >= _COEFF_BOUND:
+                    self.pos = start
+                    return None
+                pos += 1
+                numeric = True
+            elif kind == "NAME" and val in index:
+                i = index[val]
+                if tokens[pos + 1][1] != "^":
+                    exps[i] += 1
+                    pos += 1
+                elif tokens[pos + 2][0] == "NUM":
+                    _, val, at = tokens[pos + 2]
+                    exps[i] += _int_literal(val, at)
+                    pos += 3
+                else:
+                    break
+                numeric = False
+            else:
+                break
+            self.pos = pos
+            kind, val, _ = tokens[pos]
+            if kind == "OP" and val == "*":
+                pos += 1
+            elif not (kind == "NAME" and numeric):
+                break
+        if numeric is None:
+            return None
+        return ({tuple(exps): coeff} if coeff else {}), numeric
 
     def parse_factor(self) -> tuple[_Terms, bool]:
         value, numeric = self.parse_base()

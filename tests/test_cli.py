@@ -6,12 +6,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonzeta import polytope
-from newtonzeta.cli import _MAX_TERMS, TASKS, main
+from newtonzeta.cli import _MAX_TERMS, _PARSER, TASKS, Job, _dumps, main, run
 
 
 def run_cli(capsys, argv, stdin_data=None, monkeypatch=None):
@@ -208,6 +210,26 @@ def test_high_dimensional_hulls_are_input_errors(tmp_path, capsys):
     assert err.startswith("error: constraints[1]: the convex hull of 60 points "
                           "in dimension 8 needs more than 4096 rays")
     assert polytope._dd.cache_info().currsize == cached + 1  # the simplex alone
+
+
+def test_lower_dimensional_hulls_name_their_polynomial(tmp_path, capsys):
+    # the same support padded by a zero coordinate: its sweep runs on a
+    # projection, and the error still names the polynomial and its own
+    # dimension, with no memo entry for the set or its projection
+    rng = random.Random(1)
+    support = []
+    while len(support) < 60:
+        point = [rng.randint(0, 9) for _ in range(8)] + [0]
+        if point not in support:
+            support.append(point)
+    small = [[int(i == j) for j in range(9)] for i in range(10)]  # a simplex
+    path = write_job(tmp_path, {"n": 9, "constraints": [small, {"support": support}]})
+    cached = polytope._dd.cache_info().currsize
+    code, out, err = run_cli(capsys, ["info", path])
+    assert code == 2 and not out
+    assert err.startswith("error: constraints[1]: the convex hull of 60 points "
+                          "in dimension 9 needs more than 4096 rays")
+    assert polytope._dd.cache_info().currsize == cached + 1
 
 
 def test_schema_error_has_field_path(tmp_path, capsys):
@@ -426,3 +448,46 @@ def test_fuzzed_documents_exit_zero_or_two(doc, task, flags):
             redirect_stdout(_StringIO()), redirect_stderr(_StringIO()) as err:
         code = main([task, "-", *flags])
     assert code in (0, 2), f"exit {code} on {task} {flags} {text}: {err.getvalue()}"
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", "α β_1", "\U0001F600\U00010348", "\x00\x1f\x7f\n\t", '"\\/', "\u2028\ud800"])
+_JSON_SCALARS = (st.none() | st.booleans() | _JSON_STRINGS | st.integers()
+                 | st.integers(-10**100, 10**100)
+                 | st.sampled_from([10**99, -10**99, 10**100 - 1, 1 - 10**100]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_result_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_result_writer_edge_cases():
+    for value in ([], {}, [[]], [{}], {"a": []}, {"a": {"b": {}}, "c": [[], [[]]]},
+                  {"k": True, "l": False, "m": None}, -0, True):
+        assert _dumps(value) == json.dumps(value, indent=2)
+    for value in (Fraction(1, 2), {1, 2}, [object()]):  # as json.dumps does
+        for dumps in (_dumps, lambda v: json.dumps(v, indent=2)):
+            with pytest.raises(TypeError):
+                dumps(value)
+    for value in ({1: "int key"}, (1, 2)):  # a result holds neither
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def test_cli_output_is_json_dumps_of_the_result(tmp_path, capsys):
+    doc = {"n": 2, "variables": ["α", "β_1"],
+           "constraints": ["α^2 + β_1^3 - 2*α*β_1"], "options": {"trace": True}}
+    path = write_job(tmp_path, doc)
+    for task in ("info", "euler", "deform-origin"):
+        code, out, err = run_cli(capsys, [task, path])
+        assert code == 0, err
+        want = run(Job(json.loads(json.dumps(doc)), task, _PARSER.parse_args([task, path])))
+        assert out == json.dumps(want, indent=2) + "\n"
+        assert "\\u03b1" in out or task == "euler"

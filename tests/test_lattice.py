@@ -15,7 +15,7 @@ from newtonzeta import (
     orthogonal_line_generators,
     saturated_basis,
 )
-from newtonzeta.lattice import _column_reduce, _dot, _int_kernel, _rank
+from newtonzeta.lattice import _column_reduce, _dot, _int_kernel, _rank, _span_coords
 from tests.oracle import _abs_det, _solve_in_basis
 
 
@@ -156,6 +156,28 @@ def test_frame_coordinates_outside_span():
 def test_frame_requires_saturated_basis():
     with pytest.raises(ValueError, match="saturated"):
         LatticeFrame(IntPoint((0, 0)), (IntPoint((2, 0)),), 2)
+
+
+def test_unit_basis_frames_match_the_reductions():
+    # a basis of distinct unit vectors is read off without a reduction:
+    # in every order, its fields are those the two reductions give
+    for n in range(6):
+        units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+        for r in range(n + 1):
+            for rows in permutations(units, r):
+                pivots, normals = _column_reduce(rows, n)
+                coords, index = _span_coords(rows, pivots)
+                frame = LatticeFrame(IntPoint((0,) * n), tuple(map(IntPoint, rows)), n)
+                assert (frame.normals, frame.coords, frame.index) == \
+                    (tuple(normals), coords, index), rows
+    for rows in ([(1, 0), (1, 0)], [(0, 1), (0, 1), (1, 0)]):
+        with pytest.raises(ValueError, match="dependent"):
+            LatticeFrame(IntPoint((0, 0)), tuple(map(IntPoint, rows)), 2)
+    for rows in ([(-1, 0)], [(1, 1)], [(0, 1), (1, -1)]):  # no unit basis
+        pivots, normals = _column_reduce(rows, 2)
+        frame = LatticeFrame(IntPoint((0, 0)), tuple(map(IntPoint, rows)), 2)
+        assert (frame.normals, frame.coords, frame.index) == \
+            (tuple(normals), *_span_coords(rows, pivots))
 
 
 def test_orthogonal_line_generators_examples():

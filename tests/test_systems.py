@@ -20,6 +20,7 @@ from newtonzeta import (
     restrict_system,
     restrict_to_index_set,
 )
+from newtonzeta.systems import _Parser
 from tests.oracle import expand_expression
 
 
@@ -142,6 +143,38 @@ def test_oversized_powers_fail_fast_and_signed_powers_parse_fast():
     p = parse_polynomial("(-z1)^" + "9" * 30, ["z1"])
     assert time.perf_counter() - start < 1
     assert p.as_dict() == {(10**30 - 1,): -1}
+
+
+def test_monomial_scan_hands_over_where_the_products_go_on():
+    # a term's leading numbers and variables are multiplied in one pass;
+    # the first factor of another kind, and a coefficient that reaches
+    # the digit bound, go on through the general products
+    names = ["z1", "z2", "z3", "z4"]
+    assert parse_polynomial("2*37/2", names).as_dict() == {(0, 0, 0, 0): 37}
+    assert parse_polynomial("z1^" + "9" * 50 + "*3*2^3", names).as_dict() == \
+        {(10**50 - 1, 0, 0, 0): 24}
+    for text, message in (
+        ("z1*23/", "expected an integer denominator (at position 6)"),
+        ("+z2*22/3 z22", "unknown variable 'z22' (at position 9)"),
+        ("3 z2xz1", "unknown variable 'z2xz1' (at position 2)"),
+        ("z1*" + "9" * 2200 + "*" + "9" * 2200,
+         "coefficient of more than 4300 digits (at position 2203)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, names)
+        assert str(err.value) == message, text[:20]
+
+
+def test_monomial_terms_build_no_products(monkeypatch):
+    calls = []
+    mul = _Parser._mul
+    monkeypatch.setattr(_Parser, "_mul", staticmethod(
+        lambda a, b, at: calls.append(at) or mul(a, b, at)))
+    text = "- 4*z4^3 - 4*z3^2 + 4*z2^2*z3*z4^3 - 5*z1*z3^3*z4^3"
+    p = parse_polynomial(text, ["z1", "z2", "z3", "z4"])
+    assert p.as_dict() == {(0, 0, 0, 3): -4, (0, 0, 2, 0): -4,
+                           (0, 2, 1, 3): 4, (1, 0, 3, 3): -5}
+    assert calls == []
 
 
 def _render(tree, names):
