@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure, _rank
+from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure
 from .polytope import (
     LatticePolytope,
     Vec,
-    _sub,
+    _affine_dim,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
 from .qforms import q_exponent
@@ -189,15 +189,6 @@ def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
     return sorted(_normals(_minkowski_points(bodies, m), m))
 
 
-def _dims(point_sets: Sequence[Sequence[Vec]]) -> tuple[int, ...]:
-    """The affine dimension of each set of distinct points (size - 1 up to
-    2): the rank of its differences, reduced as their transpose, with one
-    column per difference."""
-    return tuple(len(pts) - 1 if len(pts) < 3
-                 else _rank(list(zip(*[_sub(p, pts[0]) for p in pts[1:]])))
-                 for pts in point_sets)
-
-
 def _covector_traces(
     index_set: frozenset[int],
     n: int,
@@ -224,7 +215,7 @@ def _covector_traces(
         e = _hyperplane_measure(a, faces, lambda projected: exponent(projected, frame))
         if e:
             traces.append(ContributionTrace(index_set, _embed(a, idx, n), m, e,
-                                            _dims(faces)))
+                                            tuple(map(_affine_dim, faces))))
     return traces
 
 
@@ -314,7 +305,8 @@ def _polynomial_stratum(index_set: frozenset[int], n: int,
     # it, but the cone route provably produces it, and it makes degree(zeta)
     # equal the fiber Euler characteristic; see the route-equivalence tests.
     e0 = _reduced_sum(bodies, LatticeFrame.standard(len(index_set)))
-    traces = [ContributionTrace(index_set, None, 1, e0, _dims(bodies))] if e0 else []
+    traces = ([ContributionTrace(index_set, None, 1, e0, tuple(map(_affine_dim, bodies)))]
+              if e0 else [])
     # the objective's face leads: drop it, minus keep it (``q_tilde_exponent``)
     return traces + _covector_traces(
         index_set, n, bodies, lambda a: min(_dot(a, p) for p in bodies[0]),

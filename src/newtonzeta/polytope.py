@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul, sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lattice import (
     Covector,
@@ -252,12 +252,11 @@ def _dd(
                     vp * cm - vm * cp for cp, cm in zip(rays[ip], rays[im])
                 )
                 fresh.append((_primitive(combo), common | (1 << t)))
-        kept = [(rays[i], masks[i] | ((vals[i] == 0) << t)) for i in plus + zero]
-        merged: dict[Vec, int] = {}
-        for r, m in kept + fresh:
-            merged[r] = m
-        rays = list(merged.keys())
-        masks = [merged[r] for r in rays]
+        # no ray comes twice: a kept ray equal to a fresh one would dominate
+        # its pair, and a ray from two pairs would lie inside two 2-faces
+        kept = plus + zero
+        masks = [masks[i] | ((vals[i] == 0) << t) for i in kept] + [m for _, m in fresh]
+        rays = [rays[i] for i in kept] + [r for r, _ in fresh]
         if len(rays) > _MAX_RAYS:
             raise HullTooLarge(pts)
 
@@ -302,13 +301,17 @@ def hull(points: Iterable[IntPoint], ambient_dim: int | None = None) -> LatticeP
     return LatticePolytope(tuple(IntPoint(uniq[i]) for i in _dd(uniq, n)[0]), n)
 
 
+def _affine_dim(pts: Sequence[Vec]) -> int:
+    """The affine dimension of distinct points (size - 1 up to 2): the rank
+    of their differences, reduced as their transpose, one column each."""
+    if len(pts) < 3:
+        return len(pts) - 1
+    return _rank(list(zip(*[_sub(p, pts[0]) for p in pts[1:]])))
+
+
 def dim(P: LatticePolytope) -> int:
     """Affine dimension; the empty polytope has dimension -1."""
-    if P.is_empty:
-        return -1
-    verts = P.raw_vertices()
-    diffs = [_sub(v, verts[0]) for v in verts[1:]]
-    return _rank(diffs)
+    return _affine_dim(P.raw_vertices())
 
 
 def support_min(P: LatticePolytope, alpha: Covector) -> int:

@@ -16,6 +16,13 @@ Grammar (whitespace insignificant)::
     factor = base ["^" uint]
     base   = rational / varname / "(" expr ")"
     rational = uint ["/" uint]
+
+``_Parser.parse_term`` reads each term in one loop.  Integer factors not
+followed by "/" or "^" multiply into one coefficient, and known variables,
+maybe with "^" uint, add into one exponent list, up to the first factor of
+another kind; from it on, each product expands term by term.  A coefficient
+past the digit bound is reported at its product's "*", or at the variable a
+number runs into; a lone first factor is checked at 0, once all is read.
 """
 
 from __future__ import annotations
@@ -138,6 +145,7 @@ _MAX_TERM_PAIRS = 10**5
 # numerator or denominator could be parsed but never printed
 _MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10**_MAX_COEFF_DIGITS
+_TOO_MANY_DIGITS = f"coefficient of more than {_MAX_COEFF_DIGITS} digits"
 
 # each level of parentheses takes four frames of the recursive descent,
 # so this depth stays well inside Python's default recursion limit of 1000
@@ -147,7 +155,7 @@ _MAX_NESTING = 100
 def _check_coefficients(terms: _Terms, at: int) -> None:
     if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
            for c in terms.values()):
-        raise ParseError(f"coefficient of more than {_MAX_COEFF_DIGITS} digits", at)
+        raise ParseError(_TOO_MANY_DIGITS, at)
 
 
 def _int_literal(digits: str, at: int) -> int:
@@ -215,68 +223,44 @@ class _Parser:
                 return value
 
     def parse_term(self) -> _Terms:
-        value, numeric = self._scan_monomial() or self.parse_factor()
-        while True:
-            kind, val, at = self.peek()
-            if kind == "OP" and val == "*":
-                self.next()
-                rhs, numeric = self.parse_factor()
-                value = self._mul(value, rhs, at)
-            elif kind == "NAME" and numeric:
-                # coefficient directly followed by a variable
-                rhs, numeric = self.parse_factor()
-                value = self._mul(value, rhs, at)
-            elif kind in ("NAME", "NUM") or (kind == "OP" and val == "("):
-                raise ParseError("implicit multiplication requires '*'", at)
-            else:
-                return value
-
-    def _scan_monomial(self) -> tuple[_Terms, bool] | None:
-        """The term's leading integer and variable factors (each variable
-        maybe raised to ``^ NUM``), multiplied in one pass, and whether
-        the last was a number; None when there is none.
-
-        The scan stops before the first factor of any other kind (a "/",
-        a power of a number, a "(" or an unknown name) and before its
-        "*", so ``parse_term`` goes on from the partial term exactly as
-        its own products would have; a coefficient that reaches the bound
-        puts the term back whole, for ``parse_factor`` to read and report.
-        """
+        """One product, its factors read by one loop (see the module docstring)."""
         tokens, index = self.tokens, self.index
-        start = pos = self.pos
-        coeff, exps, numeric = 1, list(self.zero), None
+        pos, at, value = self.pos, None, None  # no product yet, still a monomial
+        coeff, exps = 1, list(self.zero)
         while True:
-            kind, val, at = tokens[pos]
-            if kind == "NUM" and tokens[pos + 1][1] not in ("/", "^"):
-                coeff *= _int_literal(val, at)
-                if coeff >= _COEFF_BOUND:
-                    self.pos = start
-                    return None
+            kind, val, where = tokens[pos]
+            if kind == "NUM" and value is None and tokens[pos + 1][1] not in ("/", "^"):
+                coeff *= _int_literal(val, where)
+                if coeff >= _COEFF_BOUND and at is not None:
+                    raise ParseError(_TOO_MANY_DIGITS, at)
                 pos += 1
                 numeric = True
-            elif kind == "NAME" and val in index:
-                i = index[val]
-                if tokens[pos + 1][1] != "^":
-                    exps[i] += 1
-                    pos += 1
-                elif tokens[pos + 2][0] == "NUM":
-                    _, val, at = tokens[pos + 2]
-                    exps[i] += _int_literal(val, at)
+            elif kind == "NAME" and value is None and val in index and (
+                    (op := tokens[pos + 1][1]) != "^" or tokens[pos + 2][0] == "NUM"):
+                if op == "^":
+                    exps[index[val]] += _int_literal(*tokens[pos + 2][1:])
                     pos += 3
                 else:
-                    break
+                    exps[index[val]] += 1
+                    pos += 1
                 numeric = False
             else:
-                break
-            self.pos = pos
-            kind, val, _ = tokens[pos]
-            if kind == "OP" and val == "*":
+                self.pos = pos
+                rhs, numeric = self.parse_factor()
+                pos = self.pos
+                if at is not None and value is None:
+                    value = {tuple(exps): coeff} if coeff else {}
+                value = rhs if at is None else self._mul(value, rhs, at)
+            kind, val, at = tokens[pos]
+            if val == "*":
                 pos += 1
             elif not (kind == "NAME" and numeric):
-                break
-        if numeric is None:
-            return None
-        return ({tuple(exps): coeff} if coeff else {}), numeric
+                if kind in ("NAME", "NUM") or val == "(":
+                    raise ParseError("implicit multiplication requires '*'", at)
+                self.pos = pos
+                if value is None:
+                    return {tuple(exps): coeff} if coeff else {}
+                return value
 
     def parse_factor(self) -> tuple[_Terms, bool]:
         value, numeric = self.parse_base()
@@ -324,24 +308,20 @@ class _Parser:
 
     @staticmethod
     def _mul(a: _Terms, b: _Terms, at: int) -> _Terms:
-        """a * b, its coefficients bounded; single terms multiply directly."""
-        if len(a) == 1 == len(b):
-            ((ea, ca),), ((eb, cb),) = a.items(), b.items()
-            out = {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
-        elif len(a) * len(b) > _MAX_TERM_PAIRS:
+        """a * b, its coefficients bounded."""
+        if len(a) * len(b) > _MAX_TERM_PAIRS:
             raise ParseError(
                 f"expansion too large: {len(a)} times {len(b)} terms", at
             )
-        else:
-            out = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    c = out.get(e, 0) + ca * cb
-                    if c:
-                        out[e] = c
-                    elif e in out:
-                        del out[e]
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = out.get(e, 0) + ca * cb
+                if c:
+                    out[e] = c
+                elif e in out:
+                    del out[e]
         _check_coefficients(out, at)
         return out
 

@@ -2,6 +2,8 @@
 name a source module defines is used somewhere in the package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import newtonzeta
@@ -62,3 +64,17 @@ def test_source_modules_use_every_private_definition():
     for name, tree in trees.items():
         unused = [d for d in _private_definitions(tree) if d not in loaded]
         assert not unused, f"{name} defines {unused} and nothing uses them"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark wraps these names; load its tracer by path (it imports
+    # only the standard library) so a renamed or deleted target fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    frame_module, frame_name = tracer.FRAME.split(".")
+    targets = [*tracer.TARGETS.values(), (f"newtonzeta.{frame_module}", frame_name)]
+    assert ("newtonzeta.lattice", "LatticeFrame") in targets
+    for module, name in targets:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -177,6 +177,48 @@ def test_monomial_terms_build_no_products(monkeypatch):
     assert calls == []
 
 
+
+@pytest.mark.parametrize("text, want", [
+    ("z1^(2)", "expected a nonnegative integer exponent (at position 3)"),
+    ("z1^-2", "negative exponent (at position 3)"),
+    ("z1 2", "implicit multiplication requires '*' (at position 3)"),
+    ("2 (z1)", "implicit multiplication requires '*' (at position 2)"),
+    ("1/2 z1", {(1, 0): Fraction(1, 2)}),
+    ("2^3 z1", {(1, 0): 8}),
+    ("(z1+1)*3 z2", {(1, 1): 3, (0, 1): 3}),
+    ("(z1+1)*w", "unknown variable 'w' (at position 7)"),
+    ("z1*(z2", "expected ')' (at position 6)"),
+    ("9" * 2200 + "*(z1+1)*" + "9" * 2200,
+     "coefficient of more than 4300 digits (at position 2207)"),
+    ("-" + "9" * 4301, "numeric literal of 4301 digits is too long (at position 1)"),
+    ("2*z1^", "expected a nonnegative integer exponent (at position 5)"),
+])
+def test_term_loop_crosses_from_monomial_to_products(text, want):
+    # each text leaves the monomial part of its term at a factor of another
+    # kind, or stops there with an error; results as before the one loop
+    if isinstance(want, dict):
+        assert parse_polynomial(text, ["z1", "z2"]).as_dict() == want
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ["z1", "z2"])
+        assert str(err.value) == want
+
+
+_SOUP = (["z1", "z2", "z3", "w", "z22", "ß", "_"] + list("0123456789")
+         + ["9" * 50, "9" * 4300] + list("+-*^/()") + [" "])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_SOUP), max_size=14).map("".join))
+def test_parse_returns_a_polynomial_or_a_parse_error_in_the_text(text):
+    try:
+        p = parse_polynomial(text, ["z1", "z2", "z3"])
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(p, PolynomialInput)
+
+
 def _render(tree, names):
     """Text for an expression tree of ``tests.oracle.expand_expression``."""
     kind = tree[0]
