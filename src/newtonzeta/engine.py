@@ -30,11 +30,12 @@ from .polytope import (
     LatticePolytope,
     Vec,
     _affine_dim,
+    _dd,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
 from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
-from .volumes import _face_at, _minkowski_points, _normals, _reduced_sum
+from .volumes import _face_at, _minkowski_points, _reduced_sum
 
 __all__ = [
     "ZetaProduct",
@@ -184,9 +185,10 @@ def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
 
 
 def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
-    """Sorted candidate covectors of point sets in Z^m: the facet normals of
-    their sum, or the line normal to it (see ``candidate_covectors``)."""
-    return sorted(_normals(_minkowski_points(bodies, m), m))
+    """Sorted candidate covectors of point sets in Z^m: the normals of the
+    ``_dd`` facets of their sum, which for a flat sum are the two sides of
+    its hyperplane (see ``candidate_covectors``)."""
+    return sorted(a for a, _b in _dd(_minkowski_points(bodies, m), m)[1])
 
 
 def _covector_traces(

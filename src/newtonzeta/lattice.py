@@ -2,11 +2,12 @@
 
 Everything is arbitrary-precision integer arithmetic; no floating point
 enters at any stage.  The one elimination is a unimodular column
-reduction of an integer matrix: ranks, kernels, spans and line normals
-read off it, and the start rays of a DD cone after one triangular
-substitution.  Frames measure by deleting coordinates: a second
-reduction, of the basis transpose, picks the coordinates to keep and the
-index of the projected lattice, so no vertex is solved for.  A
+reduction of an integer matrix: ranks, kernels and spans read off it,
+among them the one kernel vector that gives a flat set's DD the two
+sides of its hyperplane, and the start rays of a DD cone after one
+triangular substitution.  Frames measure by deleting coordinates: a
+second reduction, of the basis transpose, picks the coordinates to keep
+and the index of the projected lattice, so no vertex is solved for.  A
 hyperplane with a primitive normal a needs no reduction at all: delete
 the coordinate of smallest nonzero |a_j| and divide by |a_j|
 (``_hyperplane_measure``, shared by the mixed-area recursion and strata).

@@ -6,13 +6,15 @@ integer arithmetic.  One function, ``_dd``, answers both questions
 asked of a point set, its vertices and its facets with their vertices,
 by a double description sweep over the dual cone of the homogenization,
 which stays exact in any ambient dimension; a lower-dimensional set is
-projected onto coordinates independent on its affine hull, and has
-vertices but no facets.  ``_dd`` is memoized on the point tuple by
-``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the same
-polytopes recur heavily in mixed-volume work; its ``cache_info()``
-reports size and hit rate, ``cache_clear()`` empties it.  A sweep that
-passes ``_MAX_RAYS`` live rays raises ``HullTooLarge``, so no input
-runs on for minutes; the memo stores no error.
+projected onto coordinates independent on its affine hull for its
+vertices, and its facets are the two sides of its hyperplane when it
+has one (codimension one), none otherwise.  ``_dd`` is memoized on the
+point tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``,
+since the same polytopes recur heavily in mixed-volume work; its
+``cache_info()`` reports size and hit rate, ``cache_clear()`` empties
+it.  A sweep that passes ``_MAX_RAYS`` live rays raises
+``HullTooLarge``, so no input runs on for minutes; the memo stores no
+error.
 
 The sweep inserts the points after its start cone farthest from their
 centroid first; its outputs are sorted and indexed by input position, so
@@ -63,11 +65,11 @@ Vec = tuple[int, ...]
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
 # over seeds 1-10 of every benchmark workload the largest cold pass
 # holds 607 entries in ``_q_sum_of`` (deform-affine; 833 with the
-# round's Euler checks) and 585 in ``_dd`` (polyzeta-cone; 605 in a
+# round's Euler checks) and 584 in ``_dd`` (polyzeta-cone; 604 in a
 # deform-affine round with its checks), so no round evicts.  At the
 # largest measured bytes per entry (tracemalloc's drop on each
-# ``cache_clear()``, ``_dd`` cleared last: 5.8 KB ``_dd`` and 1.7 KB
-# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 61 MB
+# ``cache_clear()``, ``_dd`` cleared last: 10.3 KB ``_dd`` and 1.4 KB
+# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 96 MB
 # when full.
 _MEMO_SIZE = 8192
 
@@ -165,9 +167,13 @@ def _dd(
     Facets are the extreme rays of the dual cone
     ``{(c0, c) : c0 + c.p >= 0 for all p}``, found by an incremental
     double description sweep whose tight-set masks double as the
-    incidence.  Below full dimension there are no facets, and the
-    vertices are those of the projection onto the coordinates that are
-    independent on the affine hull, which is injective there.
+    incidence.  Below full dimension the vertices are those of the
+    projection onto the coordinates that are independent on the affine
+    hull, which is injective there.  At affine rank d - 1 the facets are
+    the hyperplane's two sides, u.x >= -c0 and -u.x >= c0, from the one
+    primitive kernel vector (c0, u) of the reduction (u is primitive too,
+    as its gcd divides c0 = -u.p), each tight on every vertex; this
+    includes one point in Z^1.  Lower down there are none.
 
     The start rows are the pivot rows of the one reduction that tests
     full dimension, and ``_triangular_inverse`` reads the start rays off
@@ -188,20 +194,25 @@ def _dd(
     are; on row t it is zero by construction.  Its mask is therefore the
     parents' common mask plus bit t.
     """
-    if len(pts) == 1:
+    if d == 0:
         return (0,), (), ()
     w = d + 1
     rows = [(1,) + p for p in pts]
 
     # one reduction decides the dimension and picks the start cone's rows
-    pivots = _column_reduce(rows, w)[0]
-    if len(pivots) < w:
+    pivots, kernel = _column_reduce(rows, w)
+    if kernel:
         keep = [j - 1 for j in _span_coords(rows, pivots)[0][1:]]
         proj = tuple(tuple(p[j] for j in keep) for p in pts)
         try:
-            return _dd(proj, len(keep))[0], (), ()
+            verts = _dd(proj, len(keep))[0]
         except HullTooLarge:
             raise HullTooLarge(pts) from None  # the caller's set, not the projection
+        if len(kernel) > 1:
+            return verts, (), ()
+        c0, *u = kernel[0]  # c0 + u.p = 0 on every point
+        sides = sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)])
+        return verts, tuple(sides), (frozenset(verts),) * 2
     init_idx = [i for i, _col, _g in pivots]
 
     # the other points farthest from the centroid first: n|p|^2 - 2 p.s,
@@ -367,14 +378,14 @@ def restrict_to_index_set(P: LatticePolytope, index_set: Iterable[int]) -> Latti
 def facet_normals(P: LatticePolytope) -> list[FaceRecord]:
     """All facets of a full-dimensional polytope with primitive inner normals.
 
-    Raises for lower-dimensional input; callers handle those cases by the
-    orthogonal-line rule instead.
+    Raises for lower-dimensional input, which ``_dd`` gives no facets or
+    the two sides of its hyperplane, each tight on every vertex.
     """
     n = P.ambient_dim
     if P.is_empty:
         raise ValueError("not full-dimensional")
     _verts, facets, tights = _dd(tuple(P.raw_vertices()), n)
-    if n and not facets:
+    if n and (not facets or len(tights[0]) == len(P.vertices)):
         raise ValueError("not full-dimensional")
     return [FaceRecord(LatticePolytope(tuple(P.vertices[i] for i in ts), n),
                        Covector(a), b)

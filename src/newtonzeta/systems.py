@@ -174,10 +174,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        n = len(variables)
-        self.zero = (0,) * n
-        self.units = {v: (0,) * i + (1,) + (0,) * (n - i - 1)
-                      for i, v in enumerate(variables)}
+        self.zero = (0,) * len(variables)
         self.index = {v: i for i, v in enumerate(variables)}
 
     def peek(self) -> tuple[str, str, int]:
@@ -292,10 +289,10 @@ class _Parser:
                 num = Fraction(num, den)
             return ({self.zero: num} if num else {}), True
         if kind == "NAME":
-            exps = self.units.get(val)
-            if exps is None:
+            i = self.index.get(val)
+            if i is None:
                 raise ParseError(f"unknown variable {val!r}", at)
-            return {exps: 1}, False
+            return {self.zero[:i] + (1,) + self.zero[i + 1:]: 1}, False
         if kind == "OP" and val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)

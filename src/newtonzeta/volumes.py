@@ -37,22 +37,26 @@ for every other case, so the memo stores no zero answer; it serves
 ``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the engine's
 faces, which ``_reduced_sum`` takes as tuples, and the recursion itself.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
-independent route to the projected volumes for cross-validation.
+independent route to the projected volumes for cross-validation: it
+scans the bounding box of a body but its last coordinate, and the
+body's facets bound that coordinate to an interval on each prefix.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  Each measured sum runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
-the vertices that extend it and the facets whose normals ``_normals``
-returns, for the recursion and for the engine's candidate covectors.
-One column reduction gives the rank of the bodies and, for a simplex,
-its value.  No pseudo-random value and no float enters a result.
+the vertices that extend it and its codimension-one faces' normals,
+the facet normals or, for a flat sum, the two normals of its hyperplane,
+for the recursion and for the engine's candidate covectors.  One column
+reduction gives the rank of the bodies and, for a simplex, its value.
+No pseudo-random value and no float enters a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from itertools import product
+from math import comb, factorial, prod
 from operator import add
 from typing import Sequence
 
@@ -95,8 +99,8 @@ def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
 def _minkowski_points(bodies: Sequence[Sequence[Vec]], d: int) -> tuple[Vec, ...]:
     """Canonical points of the sum of point sets in Z^d (the origin for
     none), each partial sum extended from the vertices of its ``_dd``."""
-    pts = ((0,) * d,)
-    for body in bodies:
+    pts = _canonical_pts(bodies[0]) if bodies else ((0,) * d,)
+    for body in bodies[1:]:
         pts = _canonical_pts([tuple(map(add, pts[i], q))
                               for i in _dd(pts, d)[0] for q in body])
     return pts
@@ -162,24 +166,6 @@ def _q_sum(point_sets: Sequence[Sequence[Vec]], l: int) -> int:
     return _q_sum_of(tuple(sorted(map(_canonical_pts, point_sets))), l)
 
 
-def _normals(pts: Sequence[Vec], d: int) -> list[Vec]:
-    """Primitive inner normals of the (d-1)-faces of conv(pts) in Z^d.
-
-    ``pts`` hold the origin, as ``_minkowski_points`` gives them.  At
-    full rank these are the facet normals of ``_dd``; at rank d - 1 the
-    whole set is the one such face, cut by the two generators +-u of the
-    line of covectors constant on it; below that there are none.
-    """
-    facets = _dd(pts, d)[1]
-    if facets:
-        return [a for a, _b in facets]
-    pivots, kernel = _column_reduce(pts, d)
-    if len(pivots) < d - 1:
-        return []
-    (u,) = kernel
-    return [u, tuple(-c for c in u)]
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     """T_l = (-1)^(l-k) sum_a l! MV(F^a) of 1 <= k <= l canonical bodies in
@@ -190,9 +176,10 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     (each canonical body holds the origin once) are the edge rows, and
     T_l is (-1)^(l-k) |det|, the product of the pivot gcds of the
     reduction that tests the rank.  Otherwise T_l is the sum over the
-    ``_normals`` u of the distinct bodies' sum (the others' when k = l)
-    of -min_P u times T_(l-1) of the faces at u without P = bodies[0],
-    minus with it (see the module docstring), in u's hyperplane lattice.
+    normals u of the ``_dd`` facets of the distinct bodies' sum (the
+    others' when k = l; a flat sum's facets are its hyperplane's two
+    sides) of -min_P u times T_(l-1) of the faces at u without
+    P = bodies[0], minus with it (see the module docstring), in u's hyperplane lattice.
     A normal where P's minimum is 0, or where a face other than P's is a
     point, adds 0.  Minkowski's relation, sum_u u MV(faces at u) = 0,
     makes each term independent of where P lies, so the canonical keys
@@ -214,7 +201,7 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
 
     distinct = list(dict.fromkeys(rest if k == l else bodies))
     total = 0
-    for a in _normals(_minkowski_points(distinct, l), l):
+    for a, _b in _dd(_minkowski_points(distinct, l), l)[1]:
         low = min(_dot(a, p) for p in first)
         if not low:
             continue
@@ -247,41 +234,6 @@ def mixed_volume_of(
 # lattice point counting oracle
 # ---------------------------------------------------------------------------
 
-def _fm_project(ineqs: Sequence[tuple[Vec, int]]) -> list[tuple[Vec, int]]:
-    """Eliminate the last coordinate from a system a.x >= b (Fourier-Motzkin).
-
-    Right-hand sides are tightened by integrality after primitive scaling,
-    which is sound because only integer points are ever enumerated.
-    """
-    kept: dict[Vec, int] = {}
-
-    def add(a: Vec, b: int) -> None:
-        if not any(a):
-            return
-        g = gcd(*a)
-        a2 = tuple(c // g for c in a)
-        b2 = -((-b) // g)  # ceil(b / g)
-        if a2 not in kept or kept[a2] < b2:
-            kept[a2] = b2
-
-    lows = []
-    ups = []
-    for a, b in ineqs:
-        if a[-1] == 0:
-            add(a[:-1], b)
-        elif a[-1] > 0:
-            lows.append((a, b))
-        else:
-            ups.append((a, b))
-    for a, b in lows:
-        for c, e in ups:
-            p = a[-1]
-            q = -c[-1]
-            combo = tuple(q * x + p * y for x, y in zip(a[:-1], c[:-1]))
-            add(combo, q * b + p * e)
-    return [(a, b) for a, b in kept.items()]
-
-
 def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
     """The differences p - pts[0], on coordinates independent on their span.
 
@@ -302,47 +254,32 @@ def _count_lattice_points(pts: Sequence[Vec]) -> int:
 
     Below full rank it counts the points of a projection onto independent
     coordinates, whose Ehrhart polynomial has the same degree: the degree
-    is all the oracle needs of a lower-dimensional body.
+    is all the oracle needs of a lower-dimensional body.  Each point x of
+    the bounding box on every coordinate but the last adds the length of
+    the interval of last coordinates y that the facets leave: a.(x, y) >= b
+    is a lower bound on y when a_y > 0, an upper one when a_y < 0, and a
+    bound on x alone when a_y = 0.
     """
     uniq = sorted(set(pts))
     reduced = _independent_diffs(uniq, len(uniq[0]))
-    a = len(reduced[0])
-    if a == 0:
+    if not reduced[0]:
         return 1
-    systems: list[list[tuple[Vec, int]]] = [list(_dd(tuple(reduced), a)[1])]
-    for _ in range(a - 1):
-        systems.append(_fm_project(systems[-1]))
-    systems.reverse()  # systems[j-1] constrains the first j coordinates
-    return _enumerate_count(systems, a)
-
-
-def _enumerate_count(systems: list[list[tuple[Vec, int]]], a: int) -> int:
-    bounding = []
-    for j in range(a):
-        bounding.append([(r, b) for r, b in systems[j] if r[j] != 0])
-
-    def rec(prefix: tuple[int, ...], j: int) -> int:
-        lo = None
-        hi = None
-        for r, b in bounding[j]:
-            partial = b - sum(r[i] * prefix[i] for i in range(j))
-            cj = r[j]
-            if cj > 0:
-                val = -((-partial) // cj)  # ceil
-                if lo is None or val > lo:
-                    lo = val
-            else:
-                val = partial // cj  # floor for negative divisor
-                if hi is None or val < hi:
-                    hi = val
-        assert lo is not None and hi is not None, "polytope is unbounded"
-        if hi < lo:
-            return 0
-        if j == a - 1:
-            return hi - lo + 1
-        return sum(rec(prefix + (x,), j + 1) for x in range(lo, hi + 1))
-
-    return rec((), 0)
+    facets = [(a[:-1], a[-1], b) for a, b in _dd(tuple(reduced), len(reduced[0]))[1]]
+    *box, last = [(min(c), max(c)) for c in zip(*reduced)]
+    total = 0
+    for x in product(*[range(lo, hi + 1) for lo, hi in box]):
+        lo, hi = last
+        for a, a_y, b in facets:
+            rest = b - _dot(a, x)  # a_y * y >= rest
+            if a_y > 0:
+                lo = max(lo, -(-rest // a_y))
+            elif a_y < 0:
+                hi = min(hi, rest // a_y)
+            elif rest > 0:
+                break
+        else:
+            total += max(0, hi - lo + 1)
+    return total
 
 
 def lattice_point_volume_oracle(

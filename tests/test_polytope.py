@@ -4,6 +4,7 @@ import random
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from newtonzeta import (
     support_min,
 )
 from newtonzeta import lattice, polytope
-from newtonzeta.lattice import _column_reduce
+from newtonzeta.lattice import _column_reduce, _int_kernel
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _independent_diffs
 from tests.conftest import random_polytope
@@ -307,7 +308,9 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         d = len(reduced[0])
         dims.add((n, d))
         if d == 0:
-            assert _dd(tuple(uniq), n) == ((0,), (), ())
+            # one point, which in Z^1 is a hyperplane with two sides
+            sides = (((-1,), -uniq[0][0]), ((1,), uniq[0][0])) if n == 1 else ()
+            assert _dd(tuple(uniq), n) == ((0,), sides, (frozenset({0}),) * len(sides))
             continue
         verts, facets, tights = _dd(tuple(reduced), d)
         want = _vertices_by_rank(reduced, facets)
@@ -319,9 +322,48 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         hull_verts = hull([IntPoint(p) for p in uniq]).vertices
         assert tuple(v.coords for v in hull_verts) == tuple(uniq[i] for i in want)
         if d < n:
-            assert _dd(tuple(uniq), n) == (tuple(want), (), ())
+            # a flat set has its hyperplane's two sides, tight on every vertex
+            sides = 2 if d == n - 1 else 0
+            assert _dd(tuple(uniq), n)[::2] == (tuple(want), (frozenset(want),) * sides)
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
+
+
+def test_dd_gives_a_flat_set_the_two_sides_of_its_hyperplane():
+    # corank one: exactly +-u, u primitive and constant on the set, and u
+    # the kernel of its differences; other ranks get no new facets
+    rng = random.Random(4242)
+    cases = [(1, [(5,)]), (1, [(-2,)])]
+    for d in range(1, 5):
+        for _ in range(20):
+            k = rng.randint(max(0, d - 3), d)
+            base = [tuple(rng.randint(-2, 2) for _ in range(k))
+                    for _ in range(rng.randint(1, k + 3))]
+            embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+            shift = [rng.randint(-3, 3) for _ in range(d)]
+            cases.append((d, sorted({tuple(s + sum(map(mul, row, p))
+                                           for row, s in zip(embed, shift))
+                                     for p in base})))
+    ranks = set()
+    for d, pts in cases:
+        diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts]
+        r = _rank(diffs)
+        ranks.add((d, r))
+        verts, facets, tights = _dd(tuple(pts), d)
+        if r == d:
+            assert (verts, facets, tights) == facets_by_subsets(pts, d)
+        elif r == d - 1:
+            (u,) = _int_kernel(diffs, d)
+            assert gcd(*u) == 1
+            b = sum(map(mul, u, pts[0]))
+            neg = tuple(-c for c in u)
+            assert facets == tuple(sorted([(u, b), (neg, -b)]))
+            assert all(sum(map(mul, a, p)) == c for a, c in facets for p in pts)
+            assert tights == (frozenset(verts),) * 2
+        else:
+            assert facets == tights == ()
+    assert {(1, 0), (2, 1), (3, 2), (4, 3), (3, 1), (4, 2)} <= ranks
+    assert {(d, d) for d in range(1, 5)} <= ranks
 
 
 def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):

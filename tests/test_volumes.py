@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from newtonzeta import (
     IntPoint,
@@ -24,7 +25,7 @@ from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _count_lattice_points
 from perfbench.checks import bezout
 from tests.conftest import random_polytope
-from tests.oracle import _rank, mixed_volume_by_subsets, permanent
+from tests.oracle import _rank, facets_by_subsets, mixed_volume_by_subsets, permanent
 
 
 def P(*coords):
@@ -118,6 +119,55 @@ def test_counting_oracle_examples():
 def test_counting_oracle_point_is_degree_zero():
     frame = LatticeFrame.span_of([IntPoint((1, 0))], 2)
     assert lattice_point_volume_oracle(P((3, 0)), frame) == 0
+
+
+# counts recorded with the Fourier-Motzkin enumeration the interval scan
+# replaced; a lower-dimensional set counts the points of its projection
+# onto independent coordinates (the segment to (5, -6) holds 4, counts 7)
+_COUNTS = [
+    ([(4,)], 1),
+    ([(-3,), (5,)], 9),
+    ([(-2, -1), (3, 0), (0, 4)], 14),
+    ([(-2, -2), (2, -2), (2, 2), (-2, 2), (0, 3)], 26),
+    ([(0, 0), (2, 4)], 3),
+    ([(-1, 3), (5, -6)], 7),
+    ([(1, 1, 1)], 1),
+    ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)], 20),
+    ([(-1, -1, -1), (1, -1, 0), (0, 2, -1), (1, 1, 2), (-2, 0, 1)], 13),
+    ([(0, 0, 0), (2, 1, 0), (1, 3, 0), (-1, 2, 0)], 8),
+    ([(1, 0, -1), (3, 2, 1), (-1, 4, -1)], 10),
+    ([(0, 0, 0), (4, 2, -2)], 5),
+    ([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], 15),
+    ([(-1, 0, 1, 0), (1, 1, 0, -1), (0, -1, 1, 1), (1, 0, -1, 1), (0, 1, 1, 1),
+      (-1, -1, 0, 0)], 8),
+    ([(0, 0, 0, 0), (1, 2, 0, 1), (2, -1, 1, 0), (-1, 1, 1, 2)], 4),
+]
+
+
+def test_counting_oracle_pinned_counts():
+    assert [_count_lattice_points(pts) for pts, _ in _COUNTS] == [c for _, c in _COUNTS]
+
+
+@st.composite
+def _full_point_sets(draw):
+    """3-8 points in [-3, 3]^d, d = 1..3, spanning Q^d."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                        min_size=d + 1, max_size=8, unique=True))
+    assume(_rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) == d)
+    return d, pts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_full_point_sets())
+def test_counting_matches_a_box_scan_against_subset_facets(case):
+    # every point of the bounding box tested against the facets of the
+    # d-subset oracle, with no double description involved
+    d, pts = case
+    facets = facets_by_subsets(sorted(pts), d)[1]
+    box = product(*[range(min(c), max(c) + 1) for c in zip(*pts)])
+    want = sum(all(sum(map(mul, a, x)) >= b for a, b in facets) for x in box)
+    assert _count_lattice_points(pts) == want
 
 
 def test_volume_agrees_with_counting_oracle_on_random_polytopes():
