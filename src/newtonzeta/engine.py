@@ -11,12 +11,12 @@ reads each polytope once per stratum I: the vertices whose mask lies in
 I's, on the coordinates of I.  That one reading gives the covectors, the
 faces at each, the objective's power and the boundary factor, and it
 skips, before any hull, a stratum whose every exponent is 0 by its count
-of bodies or by a point body.  The faces at a covector alpha go to the
-frame sum ``volumes._reduced_sum`` as tuples, with no polytope built, on
-the coordinates of I less the one ``lattice._hyperplane_measure``
-deletes, in the standard frame, and divided by the index of alpha's
-hyperplane.  A trace's face dimensions are ranks of the faces'
-differences, reduced as their transpose.
+of bodies or by a point body (``volumes._vanishes``).  The faces at a
+covector alpha go to the frame sum ``volumes._reduced_sum`` as tuples,
+with no polytope built, on the coordinates of I less the one
+``lattice._hyperplane_measure`` deletes, in the standard frame, and
+divided by the index of alpha's hyperplane.  A trace's face dimensions
+are ranks of the faces' differences, reduced as their transpose.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from .polytope import (
     LatticePolytope,
     Vec,
     _affine_dim,
-    _dd,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
 from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
-from .volumes import _face_at, _minkowski_points, _reduced_sum
+from .volumes import _face_at, _reduced_sum, _sum_normals, _vanishes
 
 __all__ = [
     "ZetaProduct",
@@ -162,7 +161,7 @@ def candidate_covectors(
         bodies.append(_on_stratum(_supports(P), idx))
         if len(bodies[-1]) < len(P.vertices):
             raise ValueError("polytope not contained in the index subspace")
-    return [_embed(a, idx, ambient_dim) for a in _covectors(bodies, len(idx))]
+    return [_embed(a, idx, ambient_dim) for a in _sum_normals(bodies, len(idx))]
 
 
 def _supports(P: LatticePolytope) -> list[tuple[Vec, int]]:
@@ -184,13 +183,6 @@ def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
     return Covector(tuple(on_i.get(i, 0) for i in range(n)))
 
 
-def _covectors(bodies: Sequence[Sequence[Vec]], m: int) -> list[Vec]:
-    """Sorted candidate covectors of point sets in Z^m: the normals of the
-    ``_dd`` facets of their sum, which for a flat sum are the two sides of
-    its hyperplane (see ``candidate_covectors``)."""
-    return sorted(a for a, _b in _dd(_minkowski_points(bodies, m), m)[1])
-
-
 def _covector_traces(
     index_set: frozenset[int],
     n: int,
@@ -209,7 +201,7 @@ def _covector_traces(
     l = len(idx) - 1
     frame = LatticeFrame.standard(l)
     traces: list[ContributionTrace] = []
-    for a in _covectors(bodies, l + 1):
+    for a in _sum_normals(bodies, l + 1):
         m = power(a)
         if m <= 0:
             continue
@@ -242,14 +234,14 @@ def _over_strata(
     each polytope is read once per stratum I by ``_on_stratum``, a subset
     test per vertex; a constraint with no vertex there misses I and is
     dropped, and the objective, if any, leads the bodies ``stratum`` gets.
-    Every exponent of I is a q-form of its faces, which is 0 when it has
-    more bodies than its degree or a point body, so a stratum adds no
+    Every exponent of I is a q-form of its faces, so a stratum adds no
     factor, and is skipped before any hull, when:
 
-    - k >= |I| constraints survive: each covector exponent has k (and k + 1)
-      bodies in degree |I| - 1, the boundary factor k + 1 in degree |I|;
-    - a surviving constraint has one vertex: its face is that point at
-      every covector, and it is a body of every exponent;
+    - ``volumes._vanishes`` holds of the surviving constraints in degree
+      |I| - 1: k >= |I| of them (each covector exponent has k or k + 1
+      bodies in degree |I| - 1, the boundary factor k + 1 in degree |I|),
+      or one with one vertex (its face is that point at every covector,
+      and it is a body of every exponent);
     - the objective misses I: the stratum contributes 1 (``zeta_polynomial``).
     """
     supports = [_supports(P) for P in spec.newton_polytopes]
@@ -259,8 +251,7 @@ def _over_strata(
         read = [_on_stratum(s, idx) for s in supports]
         objective = [read.pop()] if spec.objective is not None else []
         bodies = [pts for pts in read if pts]
-        if (len(bodies) >= len(idx) or any(len(pts) == 1 for pts in bodies)
-                or [] in objective):
+        if _vanishes(bodies, len(idx) - 1) or [] in objective:
             continue
         traces.extend(stratum(index_set, spec.n, objective + bodies))
     total: dict[int, int] = {}

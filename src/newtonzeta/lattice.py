@@ -178,11 +178,6 @@ def _column_reduce(
     return pivots, cols
 
 
-def _int_kernel(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Saturated basis of {x in Z^n : r.x = 0 for every row r}."""
-    return _column_reduce(rows, n)[1]
-
-
 def _rank(rows: Sequence[tuple[int, ...]]) -> int:
     """Rank over Q of a stack of integer rows."""
     return len(_column_reduce(rows, len(rows[0]) if rows else 0)[0])
@@ -267,9 +262,8 @@ def saturated_basis(vectors: Sequence[IntPoint]) -> list[IntPoint]:
     rows = [v.coords for v in vecs]
     if any(len(r) != n for r in rows):
         raise ValueError("mixed dimensions in saturated_basis input")
-    orth = _int_kernel(rows, n)
-    sat = _int_kernel(orth, n)
-    return [IntPoint(b) for b in sat]
+    orth = _column_reduce(rows, n)[1]  # the kernel of the kernel is the saturation
+    return [IntPoint(b) for b in _column_reduce(orth, n)[1]]
 
 
 @dataclass(frozen=True)

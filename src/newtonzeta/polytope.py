@@ -3,29 +3,29 @@
 A polytope is carried by its irredundant vertex set; faces, facet
 normals and Minkowski sums are all computed from vertices with exact
 integer arithmetic.  One function, ``_dd``, answers both questions
-asked of a point set, its vertices and its facets with their vertices,
+asked of a point set, its vertices and its facets (no facet incidence),
 by a double description sweep over the dual cone of the homogenization,
 which stays exact in any ambient dimension; a lower-dimensional set is
 projected onto coordinates independent on its affine hull for its
 vertices, and its facets are the two sides of its hyperplane when it
 has one (codimension one), none otherwise.  ``_dd`` is memoized on the
 point tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``,
-since the same polytopes recur heavily in mixed-volume work; its
-``cache_info()`` reports size and hit rate, ``cache_clear()`` empties
-it.  A sweep that passes ``_MAX_RAYS`` live rays raises
-``HullTooLarge``, so no input runs on for minutes; the memo stores no
-error.
+since the same polytopes recur heavily in mixed-volume work, and holds
+no projection; its ``cache_info()`` reports size and hit rate,
+``cache_clear()`` empties it.  A sweep that passes ``_MAX_RAYS`` live
+rays raises ``HullTooLarge``, so no input runs on for minutes; the memo
+stores no error.
 
 The sweep inserts the points after its start cone farthest from their
 centroid first; its outputs are sorted and indexed by input position, so
 none depends on that order, only the sweep's transient rays do.
 
-Incidence is bookkept rather than recomputed: each ray of the sweep
-carries the mask of processed points it is zero on, and a new ray
-inherits the common mask of its two parents (see ``_dd``).  Vertices are
-then read from those masks combinatorially: a point is a vertex exactly
-when the facets through it meet in that point alone, because the points
-are distinct and the smallest face containing a point is the
+Masks find the vertices, bookkept rather than recomputed: each ray of
+the sweep carries the mask of processed points it is zero on, and a new
+ray inherits the common mask of its two parents (see ``_dd``).  Vertices
+are then read from those masks combinatorially: a point is a vertex
+exactly when the facets through it meet in that point alone, because
+the points are distinct and the smallest face containing a point is the
 intersection of the facets through it.
 """
 
@@ -65,11 +65,11 @@ Vec = tuple[int, ...]
 # Bound on the entries of each lru_cache memo here and in ``volumes``:
 # over seeds 1-10 of every benchmark workload the largest cold pass
 # holds 607 entries in ``_q_sum_of`` (deform-affine; 833 with the
-# round's Euler checks) and 584 in ``_dd`` (polyzeta-cone; 604 in a
+# round's Euler checks) and 376 in ``_dd`` (polyzeta-cone; 531 in a
 # deform-affine round with its checks), so no round evicts.  At the
 # largest measured bytes per entry (tracemalloc's drop on each
-# ``cache_clear()``, ``_dd`` cleared last: 10.3 KB ``_dd`` and 1.4 KB
-# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 96 MB
+# ``cache_clear()``, ``_dd`` cleared last: 4.4 KB ``_dd`` and 1.4 KB
+# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 48 MB
 # when full.
 _MEMO_SIZE = 8192
 
@@ -153,27 +153,26 @@ class FaceRecord:
 
 
 # ---------------------------------------------------------------------------
-# double description: vertices, facets and incidence of a point set
+# double description: vertices and facets of a point set
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _dd(
-    pts: tuple[Vec, ...], d: int
-) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], ...], tuple[frozenset[int], ...]]:
-    """Sorted vertex indices, facets, and per facet its vertex indices.
+def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], ...]]:
+    """Sorted vertex indices and sorted facets; no facet incidence.
 
     ``pts`` are distinct.  Each facet satisfies ``a . x >= b`` on
     conv(pts) with equality exactly on the facet; ``a`` is primitive.
     Facets are the extreme rays of the dual cone
     ``{(c0, c) : c0 + c.p >= 0 for all p}``, found by an incremental
-    double description sweep whose tight-set masks double as the
-    incidence.  Below full dimension the vertices are those of the
-    projection onto the coordinates that are independent on the affine
-    hull, which is injective there.  At affine rank d - 1 the facets are
+    double description sweep whose tight-set masks find the vertices.
+    Below full dimension the vertices are those of the projection onto
+    the coordinates that are independent on the affine hull, which is
+    injective there; the projection is swept by ``_dd.__wrapped__``, so
+    the memo keeps no entry for it.  At affine rank d - 1 the facets are
     the hyperplane's two sides, u.x >= -c0 and -u.x >= c0, from the one
     primitive kernel vector (c0, u) of the reduction (u is primitive too,
-    as its gcd divides c0 = -u.p), each tight on every vertex; this
-    includes one point in Z^1.  Lower down there are none.
+    as its gcd divides c0 = -u.p); this includes one point in Z^1.  Lower
+    down there are none.
 
     The start rows are the pivot rows of the one reduction that tests
     full dimension, and ``_triangular_inverse`` reads the start rays off
@@ -195,7 +194,7 @@ def _dd(
     parents' common mask plus bit t.
     """
     if d == 0:
-        return (0,), (), ()
+        return (0,), ()
     w = d + 1
     rows = [(1,) + p for p in pts]
 
@@ -205,14 +204,13 @@ def _dd(
         keep = [j - 1 for j in _span_coords(rows, pivots)[0][1:]]
         proj = tuple(tuple(p[j] for j in keep) for p in pts)
         try:
-            verts = _dd(proj, len(keep))[0]
+            verts = _dd.__wrapped__(proj, len(keep))[0]
         except HullTooLarge:
             raise HullTooLarge(pts) from None  # the caller's set, not the projection
         if len(kernel) > 1:
-            return verts, (), ()
+            return verts, ()
         c0, *u = kernel[0]  # c0 + u.p = 0 on every point
-        sides = sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)])
-        return verts, tuple(sides), (frozenset(verts),) * 2
+        return verts, tuple(sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)]))
     init_idx = [i for i, _col, _g in pivots]
 
     # the other points farthest from the centroid first: n|p|^2 - 2 p.s,
@@ -277,16 +275,9 @@ def _dd(
         for t in range(len(order)):
             if m >> t & 1:
                 common[t] &= m
-    vpos = [t for t, c in enumerate(common) if c == 1 << t]
-
-    entries = []
-    for r, m in zip(rays, masks):
-        c0, c = r[0], r[1:]
-        assert any(c), "trivial dual ray should not be extreme"
-        entries.append(((c, -c0), frozenset(order[t] for t in vpos if m >> t & 1)))
-    entries.sort(key=lambda e: e[0])
-    vertices = tuple(sorted(order[t] for t in vpos))
-    return vertices, tuple(e[0] for e in entries), tuple(e[1] for e in entries)
+    vertices = tuple(sorted(order[t] for t, c in enumerate(common) if c == 1 << t))
+    assert all(any(r[1:]) for r in rays), "trivial dual ray should not be extreme"
+    return vertices, tuple(sorted((r[1:], -r[0]) for r in rays))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +370,12 @@ def facet_normals(P: LatticePolytope) -> list[FaceRecord]:
     """All facets of a full-dimensional polytope with primitive inner normals.
 
     Raises for lower-dimensional input, which ``_dd`` gives no facets or
-    the two sides of its hyperplane, each tight on every vertex.
+    the two sides of its hyperplane, whose faces hold every vertex.
     """
     n = P.ambient_dim
     if P.is_empty:
         raise ValueError("not full-dimensional")
-    _verts, facets, tights = _dd(tuple(P.raw_vertices()), n)
-    if n and (not facets or len(tights[0]) == len(P.vertices)):
+    records = [face(P, Covector(a)) for a, _b in _dd(tuple(P.raw_vertices()), n)[1]]
+    if n and (not records or len(records[0].face.vertices) == len(P.vertices)):
         raise ValueError("not full-dimensional")
-    return [FaceRecord(LatticePolytope(tuple(P.vertices[i] for i in ts), n),
-                       Covector(a), b)
-            for (a, b), ts in zip(facets, tights)]
+    return records

@@ -31,11 +31,12 @@ composition is enumerated and only faces at the normals are measured.
 For a volume the recursion reads l! Vol_l as a sum of lattice pyramids
 over its facets, with apex the origin (Lasserre's facet recursion).
 A set of l + k points of rank l is one simplex, measured by one
-determinant with no hull.  ``_q_sum`` decides the zero cases by counting
-(no body, more bodies than l, a point body) and builds the canonical key
-for every other case, so the memo stores no zero answer; it serves
-``lattice_volume``, ``mixed_volume_of``, ``qforms`` and the engine's
-faces, which ``_reduced_sum`` takes as tuples, and the recursion itself.
+determinant with no hull.  ``_vanishes`` is the one zero rule, by
+counting (more bodies than l, a point body), for ``_q_sum`` and the
+engine's strata; ``_q_sum`` builds the canonical key for every other
+case, so the memo stores no zero answer; it serves ``lattice_volume``,
+``mixed_volume_of``, ``qforms`` and the engine's faces, which
+``_reduced_sum`` takes as tuples, and the recursion itself.
 A lattice-point counting oracle (dilate, count, interpolate) provides an
 independent route to the projected volumes for cross-validation: it
 scans the bounding box of a body but its last coordinate, and the
@@ -44,10 +45,11 @@ body's facets bound that coordinate to an interval on each prefix.
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  Each measured sum runs one double
 description: ``polytope._dd`` of its raw Minkowski points gives both
-the vertices that extend it and its codimension-one faces' normals,
-the facet normals or, for a flat sum, the two normals of its hyperplane,
-for the recursion and for the engine's candidate covectors.  One column
-reduction gives the rank of the bodies and, for a simplex, its value.
+the vertices that extend it and its codimension-one faces' normals
+(``_sum_normals``: the facet normals or, for a flat sum, the two normals
+of its hyperplane), for the recursion and the engine's candidate
+covectors.  One column reduction gives the rank of the bodies and, for
+a simplex, its value.
 No pseudo-random value and no float enters a result.
 """
 
@@ -106,6 +108,21 @@ def _minkowski_points(bodies: Sequence[Sequence[Vec]], d: int) -> tuple[Vec, ...
     return pts
 
 
+def _sum_normals(bodies: Sequence[Sequence[Vec]], d: int) -> list[Vec]:
+    """The sorted primitive inner normals of the codimension-one faces of
+    the sum of point sets in Z^d: the ``_dd`` facet normals of its
+    ``_minkowski_points``, which for a flat sum are the two sides of its
+    hyperplane."""
+    return [a for a, _b in _dd(_minkowski_points(bodies, d), d)[1]]
+
+
+def _vanishes(point_sets: Sequence[Sequence[Vec]], l: int) -> bool:
+    """Whether T_l of the point sets is 0 by counting: every composition of
+    l takes each set at least once, so more than l sets, or a one-point set
+    (of mixed volume 0 with any others), give 0."""
+    return len(point_sets) > l or any(len(pts) == 1 for pts in point_sets)
+
+
 def _face_at(a: Vec, pts: Sequence[Vec]) -> list[Vec]:
     """The points where the covector a is least."""
     heights = [_dot(a, p) for p in pts]
@@ -153,15 +170,13 @@ def _q_sum(point_sets: Sequence[Sequence[Vec]], l: int) -> int:
     """T_l of k nonempty sets of distinct points in Z^l (see ``_q_sum_of``).
 
     The zero cases are decided here, before a key is built: no set gives
-    the empty product, 1 in degree 0 and 0 above; more than l sets, or a
-    one-point set, give 0, since every composition takes each body at
-    least once.  Any other case is looked up in the memo ``_q_sum_of``,
+    the empty product, 1 in degree 0 and 0 above, and ``_vanishes`` names
+    the others.  Any other case is looked up in the memo ``_q_sum_of``,
     keyed by the sorted canonical sets, so no zero answer is stored.
     """
-    k = len(point_sets)
-    if not k:
+    if not point_sets:
         return int(l == 0)
-    if k > l or any(len(pts) == 1 for pts in point_sets):
+    if _vanishes(point_sets, l):
         return 0
     return _q_sum_of(tuple(sorted(map(_canonical_pts, point_sets))), l)
 
@@ -176,12 +191,11 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
     (each canonical body holds the origin once) are the edge rows, and
     T_l is (-1)^(l-k) |det|, the product of the pivot gcds of the
     reduction that tests the rank.  Otherwise T_l is the sum over the
-    normals u of the ``_dd`` facets of the distinct bodies' sum (the
-    others' when k = l; a flat sum's facets are its hyperplane's two
-    sides) of -min_P u times T_(l-1) of the faces at u without
-    P = bodies[0], minus with it (see the module docstring), in u's hyperplane lattice.
-    A normal where P's minimum is 0, or where a face other than P's is a
-    point, adds 0.  Minkowski's relation, sum_u u MV(faces at u) = 0,
+    ``_sum_normals`` u of the distinct bodies (the others' when k = l) of
+    -min_P u times T_(l-1) of the faces at u without P = bodies[0], minus
+    with it (see the module docstring), in u's hyperplane lattice.  A
+    normal where P's minimum is 0, or where the faces but P's vanish (one
+    is a point), adds 0.  Minkowski's relation, sum_u u MV(faces at u) = 0,
     makes each term independent of where P lies, so the canonical keys
     are sound.
     """
@@ -201,13 +215,13 @@ def _q_sum_of(bodies: tuple[tuple[Vec, ...], ...], l: int) -> int:
 
     distinct = list(dict.fromkeys(rest if k == l else bodies))
     total = 0
-    for a, _b in _dd(_minkowski_points(distinct, l), l)[1]:
+    for a in _sum_normals(distinct, l):
         low = min(_dot(a, p) for p in first)
         if not low:
             continue
         face_of = {body: _face_at(a, body) for body in distinct}
         faces = [face_of[body] for body in rest]
-        if any(len(f) == 1 for f in faces):
+        if _vanishes(faces, l - 1):
             continue
         total -= low * _hyperplane_measure(a, [_face_at(a, first)] + faces,
                                            drop_minus_keep)

@@ -60,7 +60,7 @@ from newtonzeta import (
     restrict_system,
     support_min,
 )
-from newtonzeta.lattice import _column_reduce, _int_kernel
+from newtonzeta.lattice import _column_reduce
 
 
 def _solve_in_basis(
@@ -143,21 +143,20 @@ def _vertices_by_rank(
 
 
 def _simplex_facets_by_kernels(pts: Sequence[tuple[int, ...]]):
-    """Facets and tight sets of a full-dimensional simplex, as ``_dd`` gives them.
+    """Facets of a full-dimensional simplex, as ``_dd`` gives them.
 
     Dual ray j spans the saturated kernel of the homogenized rows other
     than row j, oriented positive on row j; it is the facet missing point j.
     """
     rows = [(1,) + tuple(p) for p in pts]
     w = len(rows)
-    entries = []
+    facets = []
     for j in range(w):
-        (ray,) = _int_kernel(rows[:j] + rows[j + 1:], w)
+        (ray,) = _column_reduce(rows[:j] + rows[j + 1:], w)[1]
         if sum(x * y for x, y in zip(rows[j], ray)) < 0:
             ray = tuple(-c for c in ray)
-        entries.append(((ray[1:], -ray[0]), frozenset(range(w)) - {j}))
-    entries.sort(key=lambda e: e[0])
-    return tuple(e[0] for e in entries), tuple(e[1] for e in entries)
+        facets.append((ray[1:], -ray[0]))
+    return tuple(sorted(facets))
 
 
 @lru_cache(maxsize=None)
@@ -180,15 +179,15 @@ def permanent(rows: Sequence[Sequence[int]]) -> int:
 
 
 def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):
-    """Vertices, facets and tight sets of a full-dimensional conv(pts), as
-    ``_dd`` gives them, from the d-subsets of the points.
+    """Vertices and facets of a full-dimensional conv(pts), as ``_dd``
+    gives them, from the d-subsets of the points.
 
     Each d-subset spans a hyperplane whose normal is the vector of signed
     maximal minors of its difference rows; made primitive and oriented so
     that every point lies on its side, it is a facet when one side holds
     every point.  Every facet has d affinely independent points, so the
     subsets find them all.  A point is a vertex when the normals of the
-    facets through it have rank d; a tight set holds the facet's vertices.
+    facets through it, read off each facet's tight set, have rank d.
     """
     found: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
     seen = set()
@@ -213,9 +212,7 @@ def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):
                 i for i, v in enumerate(values) if v == level)
     vertices = tuple(i for i in range(len(pts))
                      if _rank([a for (a, _b), tight in found.items() if i in tight]) == d)
-    facets = sorted(found)
-    return (vertices, tuple(facets),
-            tuple(found[f] & frozenset(vertices) for f in facets))
+    return vertices, tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,7 @@ def stratum_frame(
         if i not in index_set
     ]
     rows.append(alpha.comps)
-    basis = _int_kernel(rows, ambient_dim)
+    basis = _column_reduce(rows, ambient_dim)[1]
     frame = LatticeFrame(
         IntPoint((0,) * ambient_dim),
         tuple(IntPoint(b) for b in basis),

@@ -29,7 +29,7 @@ from newtonzeta import (
 )
 from newtonzeta import engine, lattice, polytope, systems, volumes
 from newtonzeta.engine import _strata_for
-from newtonzeta.lattice import _column_reduce, _int_kernel
+from newtonzeta.lattice import _column_reduce
 from tests.conftest import deformation_corpus, random_support
 from tests.oracle import (newton_number, on_stratum_by_norms, stratum_frame,
                           stratum_traces, zeta_by_strata)
@@ -691,8 +691,8 @@ def test_strata_driver_matches_the_unskipped_oracle():
     def check(spec):
         signs = [None] if spec.objective is not None else [+1, -1]
         for sign, scope in product(signs, ("torus", "affine")):
-            with mock.patch.object(engine, "_covectors",
-                                   wraps=engine._covectors) as enumeration:
+            with mock.patch.object(engine, "_sum_normals",
+                                   wraps=engine._sum_normals) as enumeration:
                 if sign is None:
                     got = zeta_polynomial(spec, scope)
                 else:
@@ -720,31 +720,26 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # normal, which its DD now reads off its first reduction, made 14
     for memo in (polytope._dd, volumes._q_sum_of):
         memo.cache_clear()
-    calls = {"reduce": 0, "kernel": 0}
+    calls = {"reduce": 0}
 
     def counted(rows, n):
         calls["reduce"] += 1
         return _column_reduce(rows, n)
 
-    def kernel(rows, n):
-        calls["kernel"] += 1
-        return _int_kernel(rows, n)
-
     for mod in (lattice, polytope, volumes):
         monkeypatch.setattr(mod, "_column_reduce", counted)
-    monkeypatch.setattr(lattice, "_int_kernel", kernel)
     spec = SystemSpec.from_supports(
         3, [[[2, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 2], [3, 2, 1]]])
     z, traces = zeta_deformation(spec, mode="origin", scope="affine")
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
-    assert calls == {"reduce": 12, "kernel": 0}
+    assert calls == {"reduce": 12}
     # a warm repeat reduces 2 times, once for the dimension of each of the
     # two faces of three points; no stratum read, no standard frame, no
     # flat sum and no zero key reduces
     calls.update(reduce=0)
     assert zeta_deformation(spec, mode="origin", scope="affine") == (z, traces)
-    assert calls == {"reduce": 2, "kernel": 0}
+    assert calls == {"reduce": 2}
 
 
 def test_stratum_measure_wraps_no_face(monkeypatch):

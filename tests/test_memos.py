@@ -10,7 +10,7 @@ import random
 import sys
 from functools import lru_cache
 
-from newtonzeta import LatticeFrame, mixed_volume_of, zeta_deformation, zeta_polynomial
+from newtonzeta import LatticeFrame, mixed_volume_of, polytope, zeta_deformation, zeta_polynomial
 from tests.conftest import deformation_corpus, random_polytope, route_corpus
 
 MEMOS = {
@@ -29,6 +29,13 @@ def package_memos():
     return {f"{mod.__name__}.{f.__name__}": f
             for mod in package_modules() for f in vars(mod).values()
             if hasattr(f, "cache_clear") and f.__module__ == mod.__name__}
+
+
+def test_every_memo_is_bounded_by_the_one_constant():
+    memos = package_memos()
+    assert set(memos) == MEMOS
+    for name, f in memos.items():
+        assert f.cache_parameters()["maxsize"] == polytope._MEMO_SIZE, name
 
 
 def computations():

@@ -22,7 +22,7 @@ from newtonzeta import (
     support_min,
 )
 from newtonzeta import lattice, polytope
-from newtonzeta.lattice import _column_reduce, _int_kernel
+from newtonzeta.lattice import _column_reduce
 from newtonzeta.polytope import _dd
 from newtonzeta.volumes import _independent_diffs
 from tests.conftest import random_polytope
@@ -64,6 +64,26 @@ def test_hull_invariant_under_permutation_and_duplication(points):
     base = hull(pts)
     shuffled = hull(list(reversed(pts)) + pts)
     assert base == shuffled
+
+
+def test_flat_hull_memoizes_its_own_set_alone():
+    # a flat set's vertices come from a projection, which is swept but not
+    # memoized: collinear and coplanar points in Z^3 add one entry each
+    rng = random.Random(61)
+    for rank in (1, 2):
+        origin = [rng.randint(-50, 50) for _ in range(3)]
+        dirs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(rank)]
+        pts = set()
+        for _ in range(8):
+            steps = [rng.randint(-5, 5) for _ in dirs]
+            pts.add(tuple(o + sum(map(mul, steps, col)) for o, col in zip(origin, zip(*dirs))))
+        cached = _dd.cache_info()
+        flat = hull([IntPoint(p) for p in pts])
+        assert dim(flat) == rank
+        after = _dd.cache_info()
+        assert (after.currsize, after.misses) == (cached.currsize + 1, cached.misses + 1)
+        assert hull([IntPoint(p) for p in pts]) == flat
+        assert _dd.cache_info().hits == after.hits + 1
 
 
 def test_dim_examples():
@@ -301,7 +321,10 @@ def _incidence_cases():
             })
 
 
-def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
+def test_dd_vertices_and_facets_match_recomputed_incidence():
+    # vertices by the rank of the facet normals through each point, and
+    # each facet's level the least value of its normal, attained on a face
+    # of dimension d - 1
     dims = set()
     for n, uniq in _incidence_cases():
         reduced = _independent_diffs(uniq, n)
@@ -310,21 +333,23 @@ def test_dd_tight_sets_and_vertices_match_recomputed_incidence():
         if d == 0:
             # one point, which in Z^1 is a hyperplane with two sides
             sides = (((-1,), -uniq[0][0]), ((1,), uniq[0][0])) if n == 1 else ()
-            assert _dd(tuple(uniq), n) == ((0,), sides, (frozenset({0}),) * len(sides))
+            assert _dd(tuple(uniq), n) == ((0,), sides)
             continue
-        verts, facets, tights = _dd(tuple(reduced), d)
+        verts, facets = _dd(tuple(reduced), d)
         want = _vertices_by_rank(reduced, facets)
         assert verts == tuple(want)
-        for (a, b), tset in zip(facets, tights):
+        for a, b in facets:
             values = [sum(x * y for x, y in zip(a, p)) for p in reduced]
             assert min(values) == b
-            assert tset == {i for i in want if values[i] == b}
+            tight = [p for p, v in zip(reduced, values) if v == b]
+            assert _rank([tuple(x - y for x, y in zip(p, tight[0])) for p in tight]) == d - 1
         hull_verts = hull([IntPoint(p) for p in uniq]).vertices
         assert tuple(v.coords for v in hull_verts) == tuple(uniq[i] for i in want)
         if d < n:
-            # a flat set has its hyperplane's two sides, tight on every vertex
-            sides = 2 if d == n - 1 else 0
-            assert _dd(tuple(uniq), n)[::2] == (tuple(want), (frozenset(want),) * sides)
+            # a flat set has its hyperplane's two sides, constant on it
+            verts, facets = _dd(tuple(uniq), n)
+            assert verts == tuple(want) and len(facets) == (2 if d == n - 1 else 0)
+            assert all(sum(map(mul, a, p)) == b for a, b in facets for p in uniq)
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
 
@@ -349,19 +374,18 @@ def test_dd_gives_a_flat_set_the_two_sides_of_its_hyperplane():
         diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts]
         r = _rank(diffs)
         ranks.add((d, r))
-        verts, facets, tights = _dd(tuple(pts), d)
+        verts, facets = _dd(tuple(pts), d)
         if r == d:
-            assert (verts, facets, tights) == facets_by_subsets(pts, d)
+            assert (verts, facets) == facets_by_subsets(pts, d)
         elif r == d - 1:
-            (u,) = _int_kernel(diffs, d)
+            (u,) = _column_reduce(diffs, d)[1]
             assert gcd(*u) == 1
             b = sum(map(mul, u, pts[0]))
             neg = tuple(-c for c in u)
             assert facets == tuple(sorted([(u, b), (neg, -b)]))
             assert all(sum(map(mul, a, p)) == c for a, c in facets for p in pts)
-            assert tights == (frozenset(verts),) * 2
         else:
-            assert facets == tights == ()
+            assert facets == ()
     assert {(1, 0), (2, 1), (3, 2), (4, 3), (3, 1), (4, 2)} <= ranks
     assert {(d, d) for d in range(1, 5)} <= ranks
 
@@ -377,12 +401,13 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
             if len(pivots) < d + 1:
                 continue
             gcds.update(g for _, _, g in pivots)
-            assert _dd.__wrapped__(tuple(pts), d)[1:] == _simplex_facets_by_kernels(pts)
+            want = (tuple(range(d + 1)), _simplex_facets_by_kernels(pts))
+            assert _dd.__wrapped__(tuple(pts), d) == want
     assert max(gcds) > 1
 
     # the start rays come from the reduction that picks the start rows
     simplex = ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5))
-    want = _simplex_facets_by_kernels(simplex)
+    want = ((0, 1, 2, 3), _simplex_facets_by_kernels(simplex))
     calls = []
 
     def counted(rows, n):
@@ -391,7 +416,7 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
 
     monkeypatch.setattr(lattice, "_column_reduce", counted)
     monkeypatch.setattr(polytope, "_column_reduce", counted)
-    assert _dd.__wrapped__(simplex, 3)[1:] == want
+    assert _dd.__wrapped__(simplex, 3) == want
     assert calls == [4]
 
 
@@ -412,7 +437,7 @@ def _minkowski_point_sets(draw):
 def test_dd_matches_the_subset_oracle_in_any_input_order():
     # the sweep inserts the points after its start cone farthest first,
     # and no output depends on that order: the same set, shuffled, gives
-    # the same facets, with vertex and tight-set indices that map back
+    # the same facets, with vertex indices that map back
     reached = set()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -421,10 +446,8 @@ def test_dd_matches_the_subset_oracle_in_any_input_order():
         d, pts, perm = case
         want = facets_by_subsets(pts, d)
         assert _dd.__wrapped__(pts, d) == want
-        verts, facets, tights = _dd.__wrapped__(tuple(pts[i] for i in perm), d)
-        assert sorted(perm[i] for i in verts) == list(want[0])
-        assert facets == want[1]
-        assert [{perm[i] for i in t} for t in tights] == list(want[2])
+        verts, facets = _dd.__wrapped__(tuple(pts[i] for i in perm), d)
+        assert (tuple(sorted(perm[i] for i in verts)), facets) == want
         if len(pts) - (d + 1) >= 2 and len(want[0]) < len(pts):
             reached.add(d)
 
@@ -448,6 +471,6 @@ def test_dd_inserts_far_points_first(monkeypatch):
              for sides in ((1, 2, 3, 1), (2, 1, 1, 3))]
     pts = tuple(sorted({tuple(map(sum, zip(p, q))) for p, q in product(*boxes)}))
     assert len(pts) == 256
-    verts, facets, _tights = _dd.__wrapped__(pts, 4)
+    verts, facets = _dd.__wrapped__(pts, 4)
     assert len(verts) == 16 and len(facets) == 8
     assert len(fresh) == 21

@@ -325,6 +325,34 @@ def test_simplicial_cayley_sets_take_no_lift(monkeypatch):
     assert reached == {0, 1, 2}
 
 
+@st.composite
+def _small_point_sets(draw):
+    """1 <= k <= l + 2 sets of 1-3 distinct points in [0,2]^l, l <= 3."""
+    l = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * l)
+    return l, draw(st.lists(st.lists(point, min_size=1, max_size=3, unique=True),
+                            min_size=1, max_size=l + 2))
+
+
+def test_vanishing_rule_matches_the_composition_oracle():
+    # wherever ``_vanishes`` skips a q-form, by more sets than l or by a
+    # point set, the composition expansion gives 0 as well
+    reached = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_small_point_sets())
+    def check(case):
+        l, sets = case
+        if not volumes._vanishes(sets, l):
+            return
+        faces = [P(*pts) for pts in sets]
+        assert q_exponent_by_compositions(l, faces, LatticeFrame.standard(l)) == 0
+        reached.add("count" if len(sets) > l else "point")
+
+    check()
+    assert reached == {"count", "point"}
+
+
 
 def _box_exponent(sides):
     """(-1)^(l-k) sum_a perm(the side rows, row i repeated a_i times)."""
