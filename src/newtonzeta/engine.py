@@ -21,11 +21,10 @@ are ranks of the faces' differences, reduced as their transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure
+from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure, _Value
 from .polytope import (
     LatticePolytope,
     Vec,
@@ -47,21 +46,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZetaProduct:
+class ZetaProduct(_Value):
     """A formal product prod_m (1 - t^m)^{e_m} in canonical merged form."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
-        for m, e in self.factors:
+    def __init__(self, factors: Iterable[tuple[int, int]]):
+        factors = tuple(sorted(factors))
+        for m, e in factors:
             if m < 1:
                 raise ValueError("factor powers must be positive integers")
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
-        if len({m for m, _ in self.factors}) != len(self.factors):
+        if len({m for m, _ in factors}) != len(factors):
             raise ValueError("factors must be merged by power")
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def one(cls) -> "ZetaProduct":
@@ -98,8 +97,7 @@ class ZetaProduct:
         return "*".join(pieces)
 
 
-@dataclass(frozen=True)
-class ContributionTrace:
+class ContributionTrace(_Value):
     """One nonzero factor: which stratum and covector produced it.
 
     ``alpha`` is None for the stratum boundary factor of the polynomial
@@ -107,17 +105,15 @@ class ContributionTrace:
     Index sets are 0-based.
     """
 
-    index_set: frozenset[int]
-    alpha: Covector | None
-    m: int
-    exponent: int
-    face_dims: tuple[int, ...]
+    __slots__ = _fields = ("index_set", "alpha", "m", "exponent", "face_dims")
 
-    def __post_init__(self):
-        if self.exponent == 0:
+    def __init__(self, index_set: frozenset[int], alpha: Covector | None, m: int,
+                 exponent: int, face_dims: tuple[int, ...]):
+        if exponent == 0:
             raise ValueError("traces record nonzero contributions only")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("trace power must be positive")
+        self._store(index_set, alpha, m, exponent, face_dims)
 
 
 # ---------------------------------------------------------------------------

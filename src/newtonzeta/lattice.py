@@ -20,7 +20,6 @@ direction-confusion bugs at type-check time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Sequence
@@ -42,14 +41,56 @@ def _as_int_tuple(coords) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class IntPoint:
+class _Value:
+    """An immutable value: equality, hash, repr and pickling from ``_fields``.
+
+    ``_fields`` names the constructor's arguments in order, and they alone
+    take part: equal only to a value of the same class with equal fields,
+    hashed as the tuple of them, rebuilt by calling the class on them.  A
+    subclass lists every attribute in ``__slots__``, and its ``__init__``
+    checks its arguments and then stores each slot once, bypassing the
+    ``__setattr__`` that refuses assignment.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        """Set the slots, in the order ``__slots__`` lists them."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class IntPoint(_Value):
     """A lattice point, or an integer direction vector, in Z^n."""
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_int_tuple(self.coords))
+    def __init__(self, coords: Sequence[int]):
+        object.__setattr__(self, "coords", _as_int_tuple(coords))
 
     @property
     def dim(self) -> int:
@@ -79,14 +120,13 @@ class IntPoint:
         return f"IntPoint{self.coords}"
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(_Value):
     """An integer linear functional, written in the dual basis."""
 
-    comps: tuple[int, ...]
+    __slots__ = _fields = ("comps",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_int_tuple(self.comps))
+    def __init__(self, comps: Sequence[int]):
+        object.__setattr__(self, "comps", _as_int_tuple(comps))
 
     @property
     def dim(self) -> int:
@@ -266,8 +306,7 @@ def saturated_basis(vectors: Sequence[IntPoint]) -> list[IntPoint]:
     return [IntPoint(b) for b in _column_reduce(orth, n)[1]]
 
 
-@dataclass(frozen=True)
-class LatticeFrame:
+class LatticeFrame(_Value):
     """Integer coordinates on a rational affine subspace.
 
     ``origin + Z<basis>`` is exactly the set of lattice points of the
@@ -284,21 +323,17 @@ class LatticeFrame:
     the other unit vectors, as the reductions would give.
     """
 
-    origin: IntPoint
-    basis: tuple[IntPoint, ...]
-    ambient_dim: int
-    normals: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    coords: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    index: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("origin", "basis", "ambient_dim", "normals", "coords", "index")
+    _fields = ("origin", "basis", "ambient_dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if self.origin.dim != self.ambient_dim:
+    def __init__(self, origin: IntPoint, basis: Sequence[IntPoint], ambient_dim: int):
+        basis = tuple(basis)
+        if origin.dim != ambient_dim:
             raise ValueError("frame origin has wrong dimension")
-        rows = [b.coords for b in self.basis]
-        if any(len(r) != self.ambient_dim for r in rows):
+        rows = [b.coords for b in basis]
+        if any(len(r) != ambient_dim for r in rows):
             raise ValueError("frame basis vector has wrong dimension")
-        n = self.ambient_dim
+        n = ambient_dim
         ones = {r.index(1) for r in rows if r.count(0) == n - 1 and 1 in r}
         if len(ones) == len(rows):
             # distinct unit vectors: the reduction would pivot on each with
@@ -313,9 +348,7 @@ class LatticeFrame:
             if any(g != 1 for _i, _col, g in pivots):
                 raise ValueError("frame basis does not generate a saturated lattice")
             coords, index = _span_coords(rows, pivots)
-        object.__setattr__(self, "normals", tuple(normals))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "index", index)
+        self._store(origin, basis, ambient_dim, tuple(normals), coords, index)
 
     @property
     def rank(self) -> int:

@@ -31,7 +31,6 @@ intersection of the facets through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul, sub
@@ -44,6 +43,7 @@ from .lattice import (
     _rank,
     _span_coords,
     _triangular_inverse,
+    _Value,
 )
 
 __all__ = [
@@ -104,8 +104,7 @@ def _primitive(v: Vec) -> Vec:
     return tuple(c // g for c in v)
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(_Value):
     """Convex hull of finitely many lattice points, stored by vertices.
 
     ``vertices`` is canonically sorted and irredundant: every stored
@@ -113,17 +112,16 @@ class LatticePolytope:
     ambient dimension so sums and restrictions stay well-typed.
     """
 
-    vertices: tuple[IntPoint, ...]
-    ambient_dim: int
+    __slots__ = _fields = ("vertices", "ambient_dim")
 
-    def __post_init__(self):
-        verts = tuple(sorted(self.vertices, key=lambda p: p.coords))
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Iterable[IntPoint], ambient_dim: int):
+        verts = tuple(sorted(vertices, key=lambda p: p.coords))
         for v in verts:
-            if v.dim != self.ambient_dim:
+            if v.dim != ambient_dim:
                 raise ValueError("vertex dimension does not match ambient_dim")
         if len({v.coords for v in verts}) != len(verts):
             raise ValueError("duplicate vertices")
+        self._store(verts, ambient_dim)
 
     @property
     def is_empty(self) -> bool:
@@ -143,13 +141,13 @@ class LatticePolytope:
         return f"LatticePolytope([{pts}])"
 
 
-@dataclass(frozen=True)
-class FaceRecord:
+class FaceRecord(_Value):
     """A face cut out by a covector: the minimizing subset and its level."""
 
-    face: LatticePolytope
-    normal: Covector
-    min_value: int
+    __slots__ = _fields = ("face", "normal", "min_value")
+
+    def __init__(self, face: LatticePolytope, normal: Covector, min_value: int):
+        self._store(face, normal, min_value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,11 @@ number runs into; a lone first factor is checked at 0, once all is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import IntPoint
+from .lattice import IntPoint, _Value
 from .polytope import LatticePolytope, hull, restrict_to_index_set
 
 __all__ = [
@@ -57,19 +56,17 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PolynomialInput:
+class PolynomialInput(_Value):
     """A polynomial as a map from exponent vectors to nonzero coefficients."""
 
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    n: int
+    __slots__ = _fields = ("terms", "n")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[tuple[int, ...], Fraction], ...], n: int):
+        if not terms:
             raise ValueError("polynomial must have at least one term")
         seen = set()
-        for exps, coeff in self.terms:
-            if len(exps) != self.n:
+        for exps, coeff in terms:
+            if len(exps) != n:
                 raise ValueError("exponent vector length does not match n")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
@@ -78,6 +75,7 @@ class PolynomialInput:
             if exps in seen:
                 raise ValueError("duplicate exponent vector")
             seen.add(exps)
+        self._store(terms, n)
 
     @classmethod
     def from_dict(
@@ -386,8 +384,7 @@ def format_polynomial(p: PolynomialInput, variables: Sequence[str]) -> str:
 # systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Value):
     """The input system: constraints, optional objective, assumptions.
 
     With no objective the system describes a one-parameter deformation in
@@ -397,25 +394,26 @@ class SystemSpec:
     spec; the engine reads their vertices once per stratum.
     """
 
-    n: int
-    constraints: tuple[PolynomialInput, ...]
-    objective: PolynomialInput | None = None
-    nondegeneracy_acknowledged: bool = False
+    _fields = ("n", "constraints", "objective", "nondegeneracy_acknowledged")
+    __slots__ = (*_fields, "__dict__")  # the dict holds newton_polytopes
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.n < 1:
+    def __init__(self, n: int, constraints: Iterable[PolynomialInput],
+                 objective: PolynomialInput | None = None,
+                 nondegeneracy_acknowledged: bool = False):
+        constraints = tuple(constraints)
+        if n < 1:
             raise ValueError("ambient dimension must be positive")
-        k = len(self.constraints)
-        if not 0 <= k <= self.n - 1:
+        k = len(constraints)
+        if not 0 <= k <= n - 1:
             raise ValueError(
-                f"need 0 <= k <= n-1 constraints, got k={k} with n={self.n}"
+                f"need 0 <= k <= n-1 constraints, got k={k} with n={n}"
             )
-        for c in self.constraints:
-            if c.n != self.n:
+        for c in constraints:
+            if c.n != n:
                 raise ValueError("constraint dimension does not match n")
-        if self.objective is not None and self.objective.n != self.n:
+        if objective is not None and objective.n != n:
             raise ValueError("objective dimension does not match n")
+        self._store(n, constraints, objective, nondegeneracy_acknowledged)
 
     @cached_property
     def newton_polytopes(self) -> tuple[LatticePolytope, ...]:
@@ -446,23 +444,21 @@ class SystemSpec:
         )
 
 
-@dataclass(frozen=True)
-class RestrictedSystem:
+class RestrictedSystem(_Value):
     """A system cut down to a coordinate subspace (0-based index set)."""
 
-    index_set: frozenset[int]
-    indices: tuple[int, ...]
-    polytopes: tuple[LatticePolytope, ...]
-    objective_restriction: LatticePolytope | None
-    n: int
+    __slots__ = _fields = ("index_set", "indices", "polytopes",
+                           "objective_restriction", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
-        if list(self.indices) != sorted(self.indices):
+    def __init__(self, index_set: Iterable[int], indices: tuple[int, ...],
+                 polytopes: tuple[LatticePolytope, ...],
+                 objective_restriction: LatticePolytope | None, n: int):
+        if list(indices) != sorted(indices):
             raise ValueError("surviving constraint indices must be increasing")
-        for P in self.polytopes:
+        for P in polytopes:
             if P.is_empty:
                 raise ValueError("restricted constraint polytopes must be nonempty")
+        self._store(frozenset(index_set), indices, polytopes, objective_restriction, n)
 
     @property
     def k_of_I(self) -> int:

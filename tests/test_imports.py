@@ -4,6 +4,8 @@ name a source module defines is used somewhere in the package."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import newtonzeta
@@ -78,3 +80,15 @@ def test_benchmark_tracer_targets_resolve():
     assert ("newtonzeta.lattice", "LatticeFrame") in targets
     for module, name in targets:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # every CLI job is a fresh process: dataclasses, and the inspect, ast,
+    # dis and tokenize it pulls in, would cost more than a small job does
+    src = Path(newtonzeta.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import newtonzeta, newtonzeta.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
