@@ -4,17 +4,16 @@ A polytope is carried by its irredundant vertex set; faces, facet
 normals and Minkowski sums are all computed from vertices with exact
 integer arithmetic.  One function, ``_dd``, answers both questions
 asked of a point set, its vertices and its facets (no facet incidence),
-by a double description sweep over the dual cone of the homogenization,
-which stays exact in any ambient dimension; a lower-dimensional set is
-projected onto coordinates independent on its affine hull for its
-vertices, and its facets are the two sides of its hyperplane when it
-has one (codimension one), none otherwise.  ``_dd`` is memoized on the
-point tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``,
-since the same polytopes recur heavily in mixed-volume work, and holds
-no projection; its ``cache_info()`` reports size and hit rate,
-``cache_clear()`` empties it.  A sweep that passes ``_MAX_RAYS`` live
-rays raises ``HullTooLarge``, so no input runs on for minutes; the memo
-stores no error.
+by one double description sweep over the dual cone of the
+homogenization, which stays exact in any ambient dimension; a
+lower-dimensional set is swept modulo that cone's lineality space, and
+its facets are the two sides of its hyperplane when it has one
+(codimension one), none otherwise.  ``_dd`` is memoized on the point
+tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the
+same polytopes recur heavily in mixed-volume work; its ``cache_info()``
+reports size and hit rate, ``cache_clear()`` empties it.  A sweep that
+passes ``_MAX_RAYS`` live rays raises ``HullTooLarge``, so no input
+runs on for minutes; the memo stores no error.
 
 The sweep inserts the points after its start cone farthest from their
 centroid first; its outputs are sorted and indexed by input position, so
@@ -41,7 +40,6 @@ from .lattice import (
     IntPoint,
     _column_reduce,
     _rank,
-    _span_coords,
     _triangular_inverse,
     _Value,
 )
@@ -85,7 +83,8 @@ _MAX_RAYS = 4096
 
 class HullTooLarge(ValueError):
     """A point set whose double description passes ``_MAX_RAYS`` live
-    rays; ``points`` is the set, and no memo stores the error."""
+    rays; ``points`` is the caller's set, flat or not, and no memo
+    stores the error."""
 
     def __init__(self, points: tuple[Vec, ...]):
         super().__init__(f"the convex hull of {len(points)} points in dimension "
@@ -163,19 +162,21 @@ def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec,
     Facets are the extreme rays of the dual cone
     ``{(c0, c) : c0 + c.p >= 0 for all p}``, found by an incremental
     double description sweep whose tight-set masks find the vertices.
-    Below full dimension the vertices are those of the projection onto
-    the coordinates that are independent on the affine hull, which is
-    injective there; the projection is swept by ``_dd.__wrapped__``, so
-    the memo keeps no entry for it.  At affine rank d - 1 the facets are
-    the hyperplane's two sides, u.x >= -c0 and -u.x >= c0, from the one
-    primitive kernel vector (c0, u) of the reduction (u is primitive too,
-    as its gcd divides c0 = -u.p); this includes one point in Z^1.  Lower
-    down there are none.
+    Every row (1, p) vanishes on the kernel of the rows' one reduction,
+    so the kernel is the cone's lineality space, and the sweep runs
+    modulo it (Fukuda-Prodon) in any dimension: it starts from the w
+    pivot rows, w the rank of the rows (the affine rank plus 1), pairs
+    only rays that share w - 2 zero rows, and its masks are those of the
+    set in its own affine hull.  At full rank its rays are the facets.
+    At affine rank d - 1 the facets are the hyperplane's two sides,
+    u.x >= -c0 and -u.x >= c0, from the one primitive kernel vector
+    (c0, u) (u is primitive too, as its gcd divides c0 = -u.p); this
+    includes one point in Z^1.  Lower down there are none.
 
-    The start rows are the pivot rows of the one reduction that tests
-    full dimension, and ``_triangular_inverse`` reads the start rays off
-    it: ray j is primitive, zero on the other start rows and positive on
-    row j, so it is their saturated kernel, as a kernel route would give.
+    ``_triangular_inverse`` reads the start rays off the reduction: ray j
+    is primitive, zero on the other start rows and positive on row j, so
+    it spans their saturated kernel modulo the lineality space, as a
+    kernel route would give.
 
     The other rows follow farthest from the centroid first, ties in index
     order.  Far points are more likely vertices, and a point in the hull
@@ -191,24 +192,16 @@ def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec,
     are; on row t it is zero by construction.  Its mask is therefore the
     parents' common mask plus bit t.
     """
-    if d == 0:
-        return (0,), ()
-    w = d + 1
     rows = [(1,) + p for p in pts]
-
-    # one reduction decides the dimension and picks the start cone's rows
-    pivots, kernel = _column_reduce(rows, w)
-    if kernel:
-        keep = [j - 1 for j in _span_coords(rows, pivots)[0][1:]]
-        proj = tuple(tuple(p[j] for j in keep) for p in pts)
-        try:
-            verts = _dd.__wrapped__(proj, len(keep))[0]
-        except HullTooLarge:
-            raise HullTooLarge(pts) from None  # the caller's set, not the projection
-        if len(kernel) > 1:
-            return verts, ()
+    # one reduction picks the start cone's rows and gives the lineality space
+    pivots, kernel = _column_reduce(rows, d + 1)
+    w = len(pivots)
+    facets: tuple[tuple[Vec, int], ...] = ()
+    if len(kernel) == 1:
         c0, *u = kernel[0]  # c0 + u.p = 0 on every point
-        return verts, tuple(sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)]))
+        facets = tuple(sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)]))
+    if w == 1:  # one point: no ray to sweep
+        return (0,), facets
     init_idx = [i for i, _col, _g in pivots]
 
     # the other points farthest from the centroid first: n|p|^2 - 2 p.s,
@@ -275,7 +268,9 @@ def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec,
                 common[t] &= m
     vertices = tuple(sorted(order[t] for t, c in enumerate(common) if c == 1 << t))
     assert all(any(r[1:]) for r in rays), "trivial dual ray should not be extreme"
-    return vertices, tuple(sorted((r[1:], -r[0]) for r in rays))
+    if not kernel:
+        facets = tuple(sorted((r[1:], -r[0]) for r in rays))
+    return vertices, facets
 
 
 # ---------------------------------------------------------------------------

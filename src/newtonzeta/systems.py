@@ -336,21 +336,22 @@ class _Parser:
         return result
 
 
-def parse_polynomial(text: str, variables: Sequence[str]) -> PolynomialInput:
+def parse_polynomial(text: str, variables: Iterable[str]) -> PolynomialInput:
     """Parse, expand and collect a polynomial over the given variables."""
-    if len(set(variables)) != len(list(variables)):
+    variables = list(variables)
+    if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
-    parser = _Parser(text, variables)
-    terms = parser.parse()
+    terms = _Parser(text, variables).parse()
     if not terms:
         raise ParseError("zero polynomial", 0)
     _check_coefficients(terms, 0)
-    return PolynomialInput.from_dict(terms, len(list(variables)))
+    return PolynomialInput.from_dict(terms, len(variables))
 
 
-def format_polynomial(p: PolynomialInput, variables: Sequence[str]) -> str:
+def format_polynomial(p: PolynomialInput, variables: Iterable[str]) -> str:
     """Canonical text for a polynomial; reparses to the identical term map."""
-    if len(list(variables)) != p.n:
+    variables = list(variables)
+    if len(variables) != p.n:
         raise ValueError("variable list length does not match polynomial")
 
     def monomial(exps: tuple[int, ...]) -> str:

@@ -109,6 +109,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert "position" in err
 
 
+def test_cancelling_product_is_a_zero_polynomial(tmp_path, capsys):
+    path = write_job(tmp_path, {"n": 1, "constraints": ["(z1+1)*(z1-1) - z1^2 + 1"]})
+    code, out, err = run_cli(capsys, ["deform-origin", path])
+    assert code == 2
+    assert "constraints[0]: zero polynomial (at position 0)" in err
+
+
 def test_non_decimal_digit_is_parse_error(tmp_path, capsys):
     path = write_job(tmp_path, {"n": 1, "constraints": ["2²*z1 + 1"]})
     code, out, err = run_cli(capsys, ["deform-origin", path])
@@ -213,9 +220,9 @@ def test_high_dimensional_hulls_are_input_errors(tmp_path, capsys):
 
 
 def test_lower_dimensional_hulls_name_their_polynomial(tmp_path, capsys):
-    # the same support padded by a zero coordinate: its sweep runs on a
-    # projection, and the error still names the polynomial and its own
-    # dimension, with no memo entry for the set or its projection
+    # the same support padded by a zero coordinate: its sweep runs modulo
+    # the kernel of its reduction, and the error still names the polynomial
+    # and its own dimension, with no memo entry for the set
     rng = random.Random(1)
     support = []
     while len(support) < 60:

@@ -716,8 +716,9 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # a simplicial Cayley set's cell again after its rank test made 26,
     # reducing each face of two points for its dimension made 22, and
     # reducing each measured stratum's standard frame twice to check its
-    # unit basis made 20, and reducing each flat sum again for its line
-    # normal, which its DD now reads off its first reduction, made 14
+    # unit basis made 20, reducing each flat sum again for its line
+    # normal, which its DD now reads off its first reduction, made 14, and
+    # projecting each flat set and reducing the projection again made 12
     for memo in (polytope._dd, volumes._q_sum_of):
         memo.cache_clear()
     calls = {"reduce": 0}
@@ -733,7 +734,7 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     z, traces = zeta_deformation(spec, mode="origin", scope="affine")
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
-    assert calls == {"reduce": 12}
+    assert calls == {"reduce": 8}
     # a warm repeat reduces 2 times, once for the dimension of each of the
     # two faces of three points; no stratum read, no standard frame, no
     # flat sum and no zero key reduces

@@ -66,11 +66,21 @@ def test_hull_invariant_under_permutation_and_duplication(points):
     assert base == shuffled
 
 
-def test_flat_hull_memoizes_its_own_set_alone():
-    # a flat set's vertices come from a projection, which is swept but not
-    # memoized: collinear and coplanar points in Z^3 add one entry each
+def test_flat_hull_memoizes_its_own_set_alone(monkeypatch):
+    # a flat set is swept in its own coordinates, modulo the kernel of its
+    # one reduction: collinear and coplanar points in Z^3 add one memo
+    # entry each, and a cold sweep reduces once
+    calls = []
+
+    def counted(rows, n):
+        calls.append(n)
+        return _column_reduce(rows, n)
+
+    monkeypatch.setattr(lattice, "_column_reduce", counted)
+    monkeypatch.setattr(polytope, "_column_reduce", counted)
     rng = random.Random(61)
     for rank in (1, 2):
+        calls.clear()
         origin = [rng.randint(-50, 50) for _ in range(3)]
         dirs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(rank)]
         pts = set()
@@ -79,6 +89,7 @@ def test_flat_hull_memoizes_its_own_set_alone():
             pts.add(tuple(o + sum(map(mul, steps, col)) for o, col in zip(origin, zip(*dirs))))
         cached = _dd.cache_info()
         flat = hull([IntPoint(p) for p in pts])
+        assert calls == [4]
         assert dim(flat) == rank
         after = _dd.cache_info()
         assert (after.currsize, after.misses) == (cached.currsize + 1, cached.misses + 1)
@@ -453,6 +464,49 @@ def test_dd_matches_the_subset_oracle_in_any_input_order():
 
     check()
     assert reached == {2, 3, 4}
+
+
+@st.composite
+def _embedded_point_sets(draw):
+    """A full-dimensional Q in Z^k (one point when k = 0), an integer
+    affine map x -> A x + s of rank k into Z^n with k < n <= 5, and an
+    order for Q's image."""
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(k + 1, 5))
+    q = sorted(set(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k),
+                                 min_size=k + 1, max_size=(9, 9, 9, 8, 7)[k]))))
+    assume(_rank([tuple(x - y for x, y in zip(p, q[0])) for p in q]) == k)
+    a = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=n, max_size=n))
+    assume(_rank(a) == k)
+    s = draw(st.tuples(*[st.integers(-5, 5)] * n))
+    return k, n, q, a, s, draw(st.permutations(range(len(q))))
+
+
+def test_dd_sweeps_a_flat_set_as_its_preimage():
+    # a flat set is the image of a full-dimensional one: its vertices are
+    # the images of the preimage's vertices by the subset oracle, and its
+    # facets are its hyperplane's two sides at corank one, none below
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_embedded_point_sets())
+    def check(case):
+        k, n, q, a, s, perm = case
+        image = [tuple(c + sum(map(mul, row, p)) for row, c in zip(a, s)) for p in q]
+        pts = tuple(image[i] for i in perm)
+        verts, facets = _dd.__wrapped__(pts, n)
+        want = facets_by_subsets(q, k)[0] if k else (0,)
+        assert sorted(pts[i] for i in verts) == sorted(image[i] for i in want)
+        if n - k == 1:
+            (u, b), (v, c) = facets
+            assert v == tuple(-x for x in u) and c == -b and gcd(*u) == 1
+            assert all(sum(map(mul, u, p)) == b for p in pts)
+        else:
+            assert facets == ()
+        reached.add((k, min(n - k, 2)))
+
+    check()
+    assert reached == {(k, c) for k in range(5) for c in (1, 2) if k + c <= 5}
 
 
 def test_dd_inserts_far_points_first(monkeypatch):

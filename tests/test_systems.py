@@ -39,6 +39,22 @@ def test_parse_zero_polynomial_rejected():
         parse_polynomial("z1 - z1", ["z1"])
 
 
+def test_parse_drops_a_product_term_that_cancels():
+    # z1 * 1 cancels -1 * z1 inside one product; the term must go, so the
+    # text below is the zero polynomial
+    assert parse_polynomial("(z1+1)*(z1-1)", ["z1"]).as_dict() == {(2,): 1, (0,): -1}
+    with pytest.raises(ParseError, match="zero polynomial"):
+        parse_polynomial("(z1+1)*(z1-1) - z1^2 + 1", ["z1"])
+
+
+def test_variables_may_be_any_iterable():
+    # the names are read once, so a one-shot iterator acts as the list does
+    names = ["z1", "z2"]
+    p = parse_polynomial("z1+z2", names)
+    assert parse_polynomial("z1+z2", iter(names)) == p
+    assert format_polynomial(p, iter(names)) == format_polynomial(p, names) == "z1 + z2"
+
+
 def test_parse_rational_coefficients():
     p = parse_polynomial("1/2*z1 + 3/4", ["z1"])
     assert p.as_dict() == {(1,): Fraction(1, 2), (0,): Fraction(3, 4)}
