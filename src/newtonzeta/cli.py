@@ -24,7 +24,7 @@ from .engine import (
     zeta_deformation,
     zeta_polynomial,
 )
-from .polytope import HullTooLarge, dim
+from .polytope import HullTooLarge, LatticePolytope, _canonical_pts, dim
 from .lattice import LatticeFrame
 from .systems import (
     ParseError,
@@ -72,8 +72,11 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 
 def _load_polynomial(
-    value: Any, path: str, n: int, variables: Sequence[str]
+    value: Any, path: str, variables: Sequence[str], order: Sequence[int]
 ) -> PolynomialInput:
+    """A polynomial in the engine's ``variables``: text is parsed against
+    them, and position j of a support vector is read from its ``order[j]``."""
+    n = len(order)
     if isinstance(value, str):
         try:
             poly = parse_polynomial(value, variables)
@@ -101,7 +104,7 @@ def _load_polynomial(
             _expect(isinstance(c, int) and not isinstance(c, bool)
                     and 0 <= c <= _MAX_EXPONENT,
                     f"{path}[{i}]", "exponents must be integers from 0 to 10^100")
-        exps.append(tuple(vec))
+        exps.append(tuple(vec[j] for j in order))
     _expect(len(set(exps)) == len(exps), path, "duplicate exponent vectors")
     return PolynomialInput.from_dict({e: Fraction(1) for e in exps}, n)
 
@@ -113,19 +116,6 @@ def _is_name(text: str) -> bool:
     except ParseError:
         return False
     return len(tokens) == 2 and tokens[0][:2] == ("NAME", text)
-
-
-def _permutation_for(variables: Sequence[str], deform_var: str) -> list[int]:
-    if deform_var not in variables:
-        raise _fail("options.deform_var", f"unknown variable {deform_var!r}")
-    others = [i for i, v in enumerate(variables) if v != deform_var]
-    return others + [list(variables).index(deform_var)]
-
-
-def _permute_poly(p: PolynomialInput, perm: Sequence[int]) -> PolynomialInput:
-    return PolynomialInput.from_dict(
-        {tuple(e[i] for i in perm): c for e, c in p.terms}, p.n
-    )
 
 
 class Job:
@@ -158,7 +148,6 @@ class Job:
         _expect(all(map(_is_name, variables)), "variables",
                 "a variable name is a letter or underscore, then letters, "
                 "digits or underscores")
-        self.variables = list(variables)
 
         options = data.get("options", {})
         _expect(isinstance(options, dict), "options", "expected an object")
@@ -169,21 +158,31 @@ class Job:
                 "expected true or false")
         self.trace = trace or overrides.trace
         self.assume = assume
-        deform_var = overrides.deform_var or options.get("deform_var")
 
         scope = overrides.scope or data.get("scope", "affine")
         _expect(scope in SCOPES, "scope", f"expected one of {SCOPES}")
         self.scope = scope
 
+        # the engine deforms in its last variable: move deform_var there
+        order = list(range(n))
+        deform_var = overrides.deform_var or options.get("deform_var")
+        if deform_var is not None:
+            _expect(isinstance(deform_var, str), "options.deform_var",
+                    "expected a variable name")
+            _expect(deform_var in variables, "options.deform_var",
+                    f"unknown variable {deform_var!r}")
+            order.append(order.pop(variables.index(deform_var)))
+        self.variables = [variables[i] for i in order]
+
         raw_constraints = data.get("constraints", [])
         _expect(isinstance(raw_constraints, list), "constraints", "expected a list")
         self.constraints = [
-            _load_polynomial(c, f"constraints[{i}]", n, self.variables)
+            _load_polynomial(c, f"constraints[{i}]", self.variables, order)
             for i, c in enumerate(raw_constraints)
         ]
         raw_objective = data.get("objective")
         self.objective = (
-            _load_polynomial(raw_objective, "objective", n, self.variables)
+            _load_polynomial(raw_objective, "objective", self.variables, order)
             if raw_objective is not None
             else None
         )
@@ -194,15 +193,6 @@ class Job:
         elif task in ("deform-origin", "deform-infinity", "euler", "mixedvol"):
             _expect(self.objective is None, "objective",
                     f"{task} takes constraints only")
-
-        if deform_var is not None:
-            _expect(isinstance(deform_var, str), "options.deform_var",
-                    "expected a variable name")
-            perm = _permutation_for(self.variables, deform_var)
-            self.variables = [self.variables[i] for i in perm]
-            self.constraints = [_permute_poly(p, perm) for p in self.constraints]
-            if self.objective is not None:
-                self.objective = _permute_poly(self.objective, perm)
 
     def system(self) -> SystemSpec:
         try:
@@ -217,13 +207,14 @@ class Job:
 
 
 def _hull_path(job: Job, points: tuple[tuple[int, ...], ...]) -> str:
-    """The path of the polynomial whose support ``points`` are, or of the
+    """The path of the first polynomial, in the order the hulls are built,
+    whose support's ``_canonical_pts`` are ``points``, or of the
     constraints when they are not one polynomial's (a sum's)."""
     named = [(f"constraints[{i}]", p) for i, p in enumerate(job.constraints)]
     if job.objective is not None:
         named.append(("objective", job.objective))
-    return next((path for path, p in named if tuple(e for e, _ in p.terms) == points),
-                "constraints")
+    return next((path for path, p in named
+                 if _canonical_pts(e for e, _ in p.terms) == points), "constraints")
 
 
 def _serialize_trace(trace: ContributionTrace, variables: Sequence[str]) -> dict:
@@ -354,8 +345,7 @@ def run(job: Job) -> dict:
         return {"task": "mixedvol", "value": value, "assumptions": []}
 
     if job.task == "info":
-        def describe(p: PolynomialInput) -> dict:
-            P = newton_polytope(p)
+        def describe(p: PolynomialInput, P: LatticePolytope) -> dict:
             return {
                 "text": format_polynomial(p, job.variables),
                 "terms": len(p.terms),
@@ -368,10 +358,10 @@ def run(job: Job) -> dict:
             "n": job.n,
             "variables": job.variables,
             "mode": "polynomial" if job.objective is not None else "deformation",
-            "constraints": [describe(p) for p in job.constraints],
+            "constraints": [describe(p, P) for p, P in zip(job.constraints, polys)],
         }
         if job.objective is not None:
-            result["objective"] = describe(job.objective)
+            result["objective"] = describe(job.objective, newton_polytope(job.objective))
         return result
 
     raise AssertionError(f"unhandled task {job.task!r}")

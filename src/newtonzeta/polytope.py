@@ -8,12 +8,15 @@ by one double description sweep over the dual cone of the
 homogenization, which stays exact in any ambient dimension; a
 lower-dimensional set is swept modulo that cone's lineality space, and
 its facets are the two sides of its hyperplane when it has one
-(codimension one), none otherwise.  ``_dd`` is memoized on the point
-tuple by ``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the
-same polytopes recur heavily in mixed-volume work; its ``cache_info()``
-reports size and hit rate, ``cache_clear()`` empties it.  A sweep that
-passes ``_MAX_RAYS`` live rays raises ``HullTooLarge``, so no input
-runs on for minutes; the memo stores no error.
+(codimension one), none otherwise.  ``_dd`` takes a point set in one
+form, ``_canonical_pts`` (sorted, deduplicated, translated so its
+lexicographic minimum is the origin), and is memoized on it by
+``functools.lru_cache``, bounded by ``_MEMO_SIZE``, since the same
+polytopes and their translates recur heavily in mixed-volume and
+stratum work; its ``cache_info()`` reports size and hit rate,
+``cache_clear()`` empties it.  A sweep that passes ``_MAX_RAYS`` live
+rays raises ``HullTooLarge``, so no input runs on for minutes; the memo
+stores no error.
 
 The sweep inserts the points after its start cone farthest from their
 centroid first; its outputs are sorted and indexed by input position, so
@@ -83,8 +86,8 @@ _MAX_RAYS = 4096
 
 class HullTooLarge(ValueError):
     """A point set whose double description passes ``_MAX_RAYS`` live
-    rays; ``points`` is the caller's set, flat or not, and no memo
-    stores the error."""
+    rays; ``points`` is its canonical set (``_canonical_pts``), flat or
+    not, and no memo stores the error."""
 
     def __init__(self, points: tuple[Vec, ...]):
         super().__init__(f"the convex hull of {len(points)} points in dimension "
@@ -153,12 +156,22 @@ class FaceRecord(_Value):
 # double description: vertices and facets of a point set
 # ---------------------------------------------------------------------------
 
+def _canonical_pts(pts: Iterable[Vec]) -> tuple[Vec, ...]:
+    """Sorted, deduplicated, translated so the lexicographic min is 0."""
+    uniq = sorted(set(pts))
+    base = uniq[0]
+    return tuple(_sub(p, base) for p in uniq)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], ...]]:
+def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], ...]]:
     """Sorted vertex indices and sorted facets; no facet incidence.
 
-    ``pts`` are distinct.  Each facet satisfies ``a . x >= b`` on
-    conv(pts) with equality exactly on the facet; ``a`` is primitive.
+    ``pts`` are distinct points of Z^d, d = ``len(pts[0])``; callers pass
+    ``_canonical_pts`` of their set, so its translates share one memo
+    entry, and the indices and the levels b belong to that translate.
+    Each facet satisfies ``a . x >= b`` on conv(pts) with equality
+    exactly on the facet; ``a`` is primitive.
     Facets are the extreme rays of the dual cone
     ``{(c0, c) : c0 + c.p >= 0 for all p}``, found by an incremental
     double description sweep whose tight-set masks find the vertices.
@@ -192,6 +205,7 @@ def _dd(pts: tuple[Vec, ...], d: int) -> tuple[tuple[int, ...], tuple[tuple[Vec,
     are; on row t it is zero by construction.  Its mask is therefore the
     parents' common mask plus bit t.
     """
+    d = len(pts[0])
     rows = [(1,) + p for p in pts]
     # one reduction picks the start cone's rows and gives the lineality space
     pivots, kernel = _column_reduce(rows, d + 1)
@@ -292,8 +306,9 @@ def hull(points: Iterable[IntPoint], ambient_dim: int | None = None) -> LatticeP
         raise ValueError("mixed dimensions in hull input")
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError("ambient_dim does not match point dimension")
-    uniq = tuple(sorted({p.coords for p in pts}))
-    return LatticePolytope(tuple(IntPoint(uniq[i]) for i in _dd(uniq, n)[0]), n)
+    uniq = sorted({p.coords for p in pts})
+    verts = _dd(_canonical_pts(uniq))[0]  # translation keeps uniq's order
+    return LatticePolytope(tuple(IntPoint(uniq[i]) for i in verts), n)
 
 
 def _affine_dim(pts: Sequence[Vec]) -> int:
@@ -368,7 +383,7 @@ def facet_normals(P: LatticePolytope) -> list[FaceRecord]:
     n = P.ambient_dim
     if P.is_empty:
         raise ValueError("not full-dimensional")
-    records = [face(P, Covector(a)) for a, _b in _dd(tuple(P.raw_vertices()), n)[1]]
+    records = [face(P, Covector(a)) for a, _b in _dd(_canonical_pts(P.raw_vertices()))[1]]
     if n and (not records or len(records[0].face.vertices) == len(P.vertices)):
         raise ValueError("not full-dimensional")
     return records

@@ -168,7 +168,6 @@ def _int_literal(digits: str, at: int) -> int:
 
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0

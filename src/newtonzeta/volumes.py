@@ -44,7 +44,7 @@ body's facets bound that coordinate to an interval on each prefix.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  Each measured sum runs one double
-description: ``polytope._dd`` of its raw Minkowski points gives both
+description: ``polytope._dd`` of its canonical Minkowski points gives both
 the vertices that extend it and its codimension-one faces' normals
 (``_sum_normals``: the facet normals or, for a flat sum, the two normals
 of its hyperplane), for the recursion and the engine's candidate
@@ -64,7 +64,7 @@ from typing import Sequence
 
 from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
                       _span_coords)
-from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _dd, _sub
+from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _canonical_pts, _dd, _sub
 
 __all__ = [
     "lattice_volume",
@@ -91,20 +91,13 @@ def _reduce_to_frame(P: LatticePolytope, frame: LatticeFrame) -> list[Vec]:
     return [tuple(d[j] for j in frame.coords) for d in diffs]
 
 
-def _canonical_pts(pts: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Sorted, deduplicated, translated so the lexicographic min is 0."""
-    uniq = sorted(set(pts))
-    base = uniq[0]
-    return tuple(_sub(p, base) for p in uniq)
-
-
 def _minkowski_points(bodies: Sequence[Sequence[Vec]], d: int) -> tuple[Vec, ...]:
     """Canonical points of the sum of point sets in Z^d (the origin for
     none), each partial sum extended from the vertices of its ``_dd``."""
     pts = _canonical_pts(bodies[0]) if bodies else ((0,) * d,)
     for body in bodies[1:]:
         pts = _canonical_pts([tuple(map(add, pts[i], q))
-                              for i in _dd(pts, d)[0] for q in body])
+                              for i in _dd(pts)[0] for q in body])
     return pts
 
 
@@ -113,7 +106,7 @@ def _sum_normals(bodies: Sequence[Sequence[Vec]], d: int) -> list[Vec]:
     the sum of point sets in Z^d: the ``_dd`` facet normals of its
     ``_minkowski_points``, which for a flat sum are the two sides of its
     hyperplane."""
-    return [a for a, _b in _dd(_minkowski_points(bodies, d), d)[1]]
+    return [a for a, _b in _dd(_minkowski_points(bodies, d))[1]]
 
 
 def _vanishes(point_sets: Sequence[Sequence[Vec]], l: int) -> bool:
@@ -248,15 +241,15 @@ def mixed_volume_of(
 # lattice point counting oracle
 # ---------------------------------------------------------------------------
 
-def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
-    """The differences p - pts[0], on coordinates independent on their span.
+def _independent_diffs(pts: Sequence[Vec]) -> Sequence[Vec]:
+    """``_canonical_pts(pts)``, on coordinates independent on their span.
 
-    Full-rank differences are returned as they are.  Below full rank the
+    Full-rank points are returned as they are.  Below full rank the
     projection onto the greedy independent coordinates is injective on
-    the span, so it keeps vertices, faces and the dimension.
+    the span, so it keeps the order, vertices, faces and the dimension.
     """
-    diffs = [_sub(p, pts[0]) for p in pts]
-    pivots, normals = _column_reduce(diffs, n)
+    diffs = _canonical_pts(pts)
+    pivots, normals = _column_reduce(diffs, len(diffs[0]))
     if normals:
         keep = _span_coords(diffs, pivots)[0]
         diffs = [tuple(p[j] for j in keep) for p in diffs]
@@ -266,6 +259,8 @@ def _independent_diffs(pts: Sequence[Vec], n: int) -> list[Vec]:
 def _count_lattice_points(pts: Sequence[Vec]) -> int:
     """Number of lattice points in conv(pts), when pts span Q^n.
 
+    The count does not depend on translation, so the box scan runs on the
+    set its ``_dd`` sweeps, ``_canonical_pts`` of the independent diffs.
     Below full rank it counts the points of a projection onto independent
     coordinates, whose Ehrhart polynomial has the same degree: the degree
     is all the oracle needs of a lower-dimensional body.  Each point x of
@@ -274,11 +269,10 @@ def _count_lattice_points(pts: Sequence[Vec]) -> int:
     is a lower bound on y when a_y > 0, an upper one when a_y < 0, and a
     bound on x alone when a_y = 0.
     """
-    uniq = sorted(set(pts))
-    reduced = _independent_diffs(uniq, len(uniq[0]))
+    reduced = _canonical_pts(_independent_diffs(pts))
     if not reduced[0]:
         return 1
-    facets = [(a[:-1], a[-1], b) for a, b in _dd(tuple(reduced), len(reduced[0]))[1]]
+    facets = [(a[:-1], a[-1], b) for a, b in _dd(reduced)[1]]
     *box, last = [(min(c), max(c)) for c in zip(*reduced)]
     total = 0
     for x in product(*[range(lo, hi + 1) for lo, hi in box]):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonzeta import polytope
-from newtonzeta.cli import _MAX_TERMS, _PARSER, TASKS, Job, _dumps, main, run
+from newtonzeta.cli import _MAX_TERMS, _PARSER, TASKS, Job, _dumps, _hull_path, main, run
+from newtonzeta.polytope import _canonical_pts
 
 
 def run_cli(capsys, argv, stdin_data=None, monkeypatch=None):
@@ -70,6 +71,14 @@ def test_euler_task(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["euler", path])
     assert code == 0
     assert json.loads(out)["value"] == -1
+
+
+def test_euler_arity_is_input_error(tmp_path, capsys):
+    job = {"n": 2, "constraints": [{"support": [[0, 0], [1, 0]]}] * 3}
+    path = write_job(tmp_path, job)
+    code, out, err = run_cli(capsys, ["euler", path])
+    assert code == 2 and not out
+    assert err == "error: constraints: euler needs at most n constraints\n"
 
 
 def test_mixedvol_task(tmp_path, capsys):
@@ -370,6 +379,49 @@ def test_deform_var_permutes_parameter(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["deform-origin", path, "--deform-var", "s"])
     assert code == 0
     assert json.loads(out)["factors"] == [{"m": 1, "exponent": 2}]
+
+
+def test_deform_var_orders_text_and_supports_alike(tmp_path, capsys):
+    # s moved last reads as the document written in the order x, y, s:
+    # text by name, a support vector by position, the objective included
+    job = {"n": 3, "variables": ["s", "x", "y"],
+           "constraints": ["x^2 + s*y + y^3 + s^2*x"],
+           "objective": "x*y + s^3 + y^2*s + x^4",
+           "options": {"assume_nondegenerate": True}}
+    supports = dict(job, constraints=[{"support": [[0, 2, 0], [1, 0, 1], [0, 0, 3],
+                                                   [2, 1, 0]]}])
+    permuted = dict(job, variables=["x", "y", "s"])
+    for task in ("polyzeta", "info"):
+        outputs = []
+        for doc, flags in ((job, ["--deform-var", "s"]), (supports, ["--deform-var", "s"]),
+                           (permuted, [])):
+            code, out, err = run_cli(capsys, [task, write_job(tmp_path, doc), "--trace", *flags])
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["factors" if task == "polyzeta" else "variables"]
+
+
+def test_unknown_deform_var_is_read_before_the_polynomials(tmp_path, capsys):
+    for constraints in (["z1 + z2"], ["z1 +"]):
+        path = write_job(tmp_path, {"n": 2, "constraints": constraints})
+        code, out, err = run_cli(capsys, ["deform-origin", path, "--deform-var", "w"])
+        assert code == 2 and not out
+        assert err == "error: options.deform_var: unknown variable 'w'\n"
+
+
+def test_hull_path_names_the_polynomial_of_canonical_points():
+    # the first polynomial whose support has those canonical points, in the
+    # order the hulls are built, or the constraints for a sum's points
+    doc = {"n": 2, "constraints": ["z1 + z2", "z1^2*z2 + z1*z2^2 + 1"],
+           "objective": "z1^3*z2 + z1^2 + z1*z2^3"}
+    job = Job(doc, "info", _PARSER.parse_args(["info", "-"]))
+    support = [[e for e, _ in p.terms] for p in job.constraints + [job.objective]]
+    assert _hull_path(job, _canonical_pts(support[2])) == "objective"
+    assert _hull_path(job, _canonical_pts(support[1])) == "constraints[1]"
+    assert _hull_path(job, _canonical_pts(support[0])) == "constraints[0]"
+    sums = [tuple(map(sum, zip(p, q))) for p in support[0] for q in support[1]]
+    assert _hull_path(job, _canonical_pts(sums)) == "constraints"
 
 
 def test_pretty_goes_to_stderr(tmp_path, capsys):

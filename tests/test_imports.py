@@ -12,7 +12,7 @@ import newtonzeta
 
 # engine imports hull without calling it: the benchmark's tracer test,
 # test_tracer_wraps_every_namespace_and_restores, checks that engine.hull
-# is wrapped (ROADMAP item 5 moves that check)
+# is wrapped (ROADMAP item 2 moves that check)
 _EXEMPT = {("engine", "hull")}
 
 

@@ -4,7 +4,7 @@ import random
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -64,6 +64,23 @@ def test_hull_invariant_under_permutation_and_duplication(points):
     base = hull(pts)
     shuffled = hull(list(reversed(pts)) + pts)
     assert base == shuffled
+
+
+def test_translates_share_one_sweep(monkeypatch):
+    # _dd is keyed on the canonical set: the hulls of a set and of its
+    # translate add one memo entry between them, and so do the facet
+    # normals of the two hulls, with the vertices still each set's own
+    monkeypatch.setattr(polytope, "_dd", lru_cache(maxsize=8)(_dd.__wrapped__))
+    rng = random.Random(28)
+    pts = {tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(12)}
+    shift = (7, -3, 2)
+    A = hull([IntPoint(p) for p in pts])
+    B = hull([IntPoint(tuple(map(add, p, shift))) for p in pts])
+    assert polytope._dd.cache_info().currsize == 1
+    assert B.raw_vertices() == [tuple(map(add, v, shift)) for v in A.raw_vertices()]
+    assert dim(A) == 3 and len(A.vertices) < len(pts)
+    assert [r.normal for r in facet_normals(A)] == [r.normal for r in facet_normals(B)]
+    assert polytope._dd.cache_info().currsize == 2
 
 
 def test_flat_hull_memoizes_its_own_set_alone(monkeypatch):
@@ -338,15 +355,15 @@ def test_dd_vertices_and_facets_match_recomputed_incidence():
     # of dimension d - 1
     dims = set()
     for n, uniq in _incidence_cases():
-        reduced = _independent_diffs(uniq, n)
+        reduced = _independent_diffs(uniq)
         d = len(reduced[0])
         dims.add((n, d))
         if d == 0:
             # one point, which in Z^1 is a hyperplane with two sides
             sides = (((-1,), -uniq[0][0]), ((1,), uniq[0][0])) if n == 1 else ()
-            assert _dd(tuple(uniq), n) == ((0,), sides)
+            assert _dd(tuple(uniq)) == ((0,), sides)
             continue
-        verts, facets = _dd(tuple(reduced), d)
+        verts, facets = _dd(tuple(reduced))
         want = _vertices_by_rank(reduced, facets)
         assert verts == tuple(want)
         for a, b in facets:
@@ -358,7 +375,7 @@ def test_dd_vertices_and_facets_match_recomputed_incidence():
         assert tuple(v.coords for v in hull_verts) == tuple(uniq[i] for i in want)
         if d < n:
             # a flat set has its hyperplane's two sides, constant on it
-            verts, facets = _dd(tuple(uniq), n)
+            verts, facets = _dd(tuple(uniq))
             assert verts == tuple(want) and len(facets) == (2 if d == n - 1 else 0)
             assert all(sum(map(mul, a, p)) == b for a, b in facets for p in uniq)
     assert {d for _, d in dims} == {0, 1, 2, 3, 4, 5}
@@ -385,7 +402,7 @@ def test_dd_gives_a_flat_set_the_two_sides_of_its_hyperplane():
         diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts]
         r = _rank(diffs)
         ranks.add((d, r))
-        verts, facets = _dd(tuple(pts), d)
+        verts, facets = _dd(tuple(pts))
         if r == d:
             assert (verts, facets) == facets_by_subsets(pts, d)
         elif r == d - 1:
@@ -413,7 +430,7 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
                 continue
             gcds.update(g for _, _, g in pivots)
             want = (tuple(range(d + 1)), _simplex_facets_by_kernels(pts))
-            assert _dd.__wrapped__(tuple(pts), d) == want
+            assert _dd.__wrapped__(tuple(pts)) == want
     assert max(gcds) > 1
 
     # the start rays come from the reduction that picks the start rows
@@ -427,7 +444,7 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
 
     monkeypatch.setattr(lattice, "_column_reduce", counted)
     monkeypatch.setattr(polytope, "_column_reduce", counted)
-    assert _dd.__wrapped__(simplex, 3) == want
+    assert _dd.__wrapped__(simplex) == want
     assert calls == [4]
 
 
@@ -456,8 +473,8 @@ def test_dd_matches_the_subset_oracle_in_any_input_order():
     def check(case):
         d, pts, perm = case
         want = facets_by_subsets(pts, d)
-        assert _dd.__wrapped__(pts, d) == want
-        verts, facets = _dd.__wrapped__(tuple(pts[i] for i in perm), d)
+        assert _dd.__wrapped__(pts) == want
+        verts, facets = _dd.__wrapped__(tuple(pts[i] for i in perm))
         assert (tuple(sorted(perm[i] for i in verts)), facets) == want
         if len(pts) - (d + 1) >= 2 and len(want[0]) < len(pts):
             reached.add(d)
@@ -494,7 +511,7 @@ def test_dd_sweeps_a_flat_set_as_its_preimage():
         k, n, q, a, s, perm = case
         image = [tuple(c + sum(map(mul, row, p)) for row, c in zip(a, s)) for p in q]
         pts = tuple(image[i] for i in perm)
-        verts, facets = _dd.__wrapped__(pts, n)
+        verts, facets = _dd.__wrapped__(pts)
         want = facets_by_subsets(q, k)[0] if k else (0,)
         assert sorted(pts[i] for i in verts) == sorted(image[i] for i in want)
         if n - k == 1:
@@ -525,6 +542,6 @@ def test_dd_inserts_far_points_first(monkeypatch):
              for sides in ((1, 2, 3, 1), (2, 1, 1, 3))]
     pts = tuple(sorted({tuple(map(sum, zip(p, q))) for p, q in product(*boxes)}))
     assert len(pts) == 256
-    verts, facets = _dd.__wrapped__(pts, 4)
+    verts, facets = _dd.__wrapped__(pts)
     assert len(verts) == 16 and len(facets) == 8
     assert len(fresh) == 21

@@ -334,7 +334,7 @@ def test_pyramid_volumes_match_counting_and_closed_forms():
     # the facet (-2,-3).x >= -6 misses the origin and its normal has no
     # entry +-1: its projection measures the facet in a sublattice of index 2
     tri = ((0, 0), (0, 2), (3, 0))
-    assert ((-2, -3), -6) in _dd(tri, 2)[1]
+    assert ((-2, -3), -6) in _dd(tri)[1]
     Q = P(*tri)
     frame = LatticeFrame.standard(2)
     assert lattice_volume(Q, frame) == lattice_point_volume_oracle(Q, frame) == 3
