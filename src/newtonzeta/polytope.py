@@ -178,9 +178,11 @@ def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], .
     Every row (1, p) vanishes on the kernel of the rows' one reduction,
     so the kernel is the cone's lineality space, and the sweep runs
     modulo it (Fukuda-Prodon) in any dimension: it starts from the w
-    pivot rows, w the rank of the rows (the affine rank plus 1), pairs
-    only rays that share w - 2 zero rows, and its masks are those of the
-    set in its own affine hull.  At full rank its rays are the facets.
+    pivot rows, w the rank of the rows (the affine rank plus 1), and its
+    masks are those of the set in its own affine hull.  Two rays on
+    opposite sides of a row are adjacent when they share w - 2 zero rows
+    and no third ray is zero on all of them.  At full rank its rays are
+    the facets.
     At affine rank d - 1 the facets are the hyperplane's two sides,
     u.x >= -c0 and -u.x >= c0, from the one primitive kernel vector
     (c0, u) (u is primitive too, as its gcd divides c0 = -u.p); this
@@ -242,33 +244,25 @@ def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], .
                     masks[i] |= 1 << t
             continue
         plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        popcounts = [m.bit_count() for m in masks]
         fresh: list[tuple[Vec, int]] = []
         for ip in plus:
             for im in minus:
                 common = masks[ip] & masks[im]
-                nbits = common.bit_count()
-                if nbits < w - 2:
+                if common.bit_count() < w - 2:
                     continue
-                dominated = False
-                for io in range(len(rays)):
-                    if popcounts[io] < nbits or io == ip or io == im:
-                        continue
-                    if common & masks[io] == common:
-                        dominated = True
+                for io, m in enumerate(masks):
+                    if common & m == common and io != ip and io != im:
                         break
-                if dominated:
-                    continue
-                vp, vm = vals[ip], vals[im]
-                combo = tuple(
-                    vp * cm - vm * cp for cp, cm in zip(rays[ip], rays[im])
-                )
-                fresh.append((_primitive(combo), common | (1 << t)))
+                else:
+                    vp, vm = vals[ip], vals[im]
+                    combo = tuple(
+                        vp * cm - vm * cp for cp, cm in zip(rays[ip], rays[im])
+                    )
+                    fresh.append((_primitive(combo), common | (1 << t)))
         # no ray comes twice: a kept ray equal to a fresh one would dominate
         # its pair, and a ray from two pairs would lie inside two 2-faces
-        kept = plus + zero
+        kept = [i for i, v in enumerate(vals) if v >= 0]
         masks = [masks[i] | ((vals[i] == 0) << t) for i in kept] + [m for _, m in fresh]
         rays = [rays[i] for i in kept] + [r for r, _ in fresh]
         if len(rays) > _MAX_RAYS:

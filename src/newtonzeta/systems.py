@@ -320,11 +320,8 @@ class _Parser:
         return out
 
     def _pow(self, a: _Terms, k: int, at: int) -> _Terms:
-        """a^k: one term c x^e with c = +-1 is c^(k mod 2) x^(k e) at once; any
-        other a is squared, and the digit bound stops the first product past it."""
-        if len(a) == 1 and abs(next(iter(a.values()))) == 1:
-            ((e, c),) = a.items()
-            return {tuple(k * x for x in e): c ** (k & 1)}
+        """a^k by repeated squaring; the digit bound stops the first product
+        past it."""
         result = {self.zero: 1}
         while k:
             if k & 1:

@@ -137,9 +137,7 @@ def lattice_volume(P: LatticePolytope, frame: LatticeFrame) -> Fraction:
     if P.is_empty:
         raise ValueError("volume of empty polytope")
     l = frame.rank
-    if l == 0:
-        _reduce_to_frame(P, frame)  # no copy is measured, but P must fit
-    return Fraction(_frame_sum([P] * l, frame), factorial(l))
+    return Fraction(_reduced_sum([_reduce_to_frame(P, frame)] * l, frame), factorial(l))
 
 
 def _frame_sum(polytopes: Sequence[LatticePolytope], frame: LatticeFrame) -> int:

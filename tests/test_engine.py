@@ -201,6 +201,51 @@ def test_deformation_mode_validation():
         zeta_deformation(SystemSpec(n=1, constraints=()), scope="everywhere")
 
 
+def _reflected(spec):
+    """Each F_i(z', 1/z_n) z_n^D_i, D_i the largest z_n exponent of F_i."""
+    supports = []
+    for poly in spec.constraints:
+        support = list(poly.as_dict())
+        top = max(e[-1] for e in support)
+        supports.append([e[:-1] + (top - e[-1],) for e in support])
+    return SystemSpec.from_supports(spec.n, supports)
+
+
+def _trace_multiset(traces, flip):
+    """Traces as sorted tuples, alpha's last entry times ``flip``."""
+    return sorted(
+        (sorted(t.index_set), t.m, t.exponent, t.face_dims,
+         None if t.alpha is None else t.alpha.comps[:-1] + (flip * t.alpha.comps[-1],))
+        for t in traces
+    )
+
+
+@st.composite
+def _deformations(draw):
+    n = draw(st.integers(2, 4))
+    point = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    support = st.lists(point, min_size=1, max_size=4, unique=True)
+    k = draw(st.integers(1, n - 1))
+    return SystemSpec.from_supports(n, draw(st.lists(support, min_size=k, max_size=k)))
+
+
+def test_infinity_mode_is_origin_mode_of_the_reflected_system():
+    # z_n -> 1/z_n swaps the two ends of the parameter axis: the same
+    # strata, powers, exponents and face dims, alpha's last entry negated
+    def check(spec):
+        reflected = _reflected(spec)
+        for scope in ("torus", "affine"):
+            z, traces = zeta_deformation(spec, "infinity", scope)
+            z_r, traces_r = zeta_deformation(reflected, "origin", scope)
+            assert z == z_r
+            assert _trace_multiset(traces, -1) == _trace_multiset(traces_r, 1)
+
+    for spec in deformation_corpus():
+        check(spec)
+    settings(max_examples=200, deadline=None, derandomize=True)(
+        given(_deformations())(check))()
+
+
 # ---------------------------------------------------------------------------
 # polynomial on a complete intersection
 # ---------------------------------------------------------------------------

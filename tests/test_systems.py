@@ -147,8 +147,8 @@ def test_parse_reads_only_decimal_digits():
 
 
 def test_oversized_powers_fail_fast_and_signed_powers_parse_fast():
-    # a coefficient other than +-1 is squared with the digit bound checked
-    # on each product; a power of -z1 is built at once from its exponent
+    # a power is built by repeated squaring with the digit bound checked on
+    # each product, so a huge power of -z1 takes about a hundred products
     for text, position in (("2^" + "9" * 50, 2), ("(3/7)^9000", 6)):
         start = time.perf_counter()
         with pytest.raises(ParseError, match="more than 4300 digits") as err:
