@@ -13,10 +13,10 @@ faces at each, the objective's power and the boundary factor, and it
 skips, before any hull, a stratum whose every exponent is 0 by its count
 of bodies or by a point body (``volumes._vanishes``).  The faces at a
 covector alpha go to the frame sum ``volumes._reduced_sum`` as tuples,
-with no polytope built, on the coordinates of I less the one
-``lattice._hyperplane_measure`` deletes, in the standard frame, and
-divided by the index of alpha's hyperplane.  A trace's face dimensions
-are ranks of the faces' differences, reduced as their transpose.
+on the coordinates of I less the one ``lattice._hyperplane_measure``
+deletes, in the standard frame, and divided by the index of alpha's
+hyperplane; a boundary factor's bodies go to ``volumes._q_sum`` in Z^|I|.
+Face dimensions are ranks of the faces' differences, as their transpose.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .polytope import (
 )
 from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
-from .volumes import _face_at, _reduced_sum, _sum_normals, _vanishes
+from .volumes import _face_at, _q_sum, _reduced_sum, _sum_normals, _vanishes
 
 __all__ = [
     "ZetaProduct",
@@ -222,14 +222,13 @@ def _over_strata(
     spec: SystemSpec,
     scope: str,
     stratum: Callable[[frozenset[int], int, list[list[Vec]]], list[ContributionTrace]],
-    must_contain_last: bool,
 ) -> tuple[ZetaProduct, list[ContributionTrace]]:
     """The product of all traces' factors, with the traces in stratum order.
 
     The support masks of ``spec.newton_polytopes`` are taken once, and
-    each polytope is read once per stratum I by ``_on_stratum``, a subset
-    test per vertex; a constraint with no vertex there misses I and is
-    dropped, and the objective, if any, leads the bodies ``stratum`` gets.
+    each polytope is read once per stratum I by ``_on_stratum``; a constraint
+    with no vertex there misses I and is dropped.  The objective, if any,
+    leads the bodies; if none, I holds the parameter, the last coordinate.
     Every exponent of I is a q-form of its faces, so a stratum adds no
     factor, and is skipped before any hull, when:
 
@@ -242,7 +241,7 @@ def _over_strata(
     """
     supports = [_supports(P) for P in spec.newton_polytopes]
     traces: list[ContributionTrace] = []
-    for index_set in _strata_for(spec.n, scope, must_contain_last):
+    for index_set in _strata_for(spec.n, scope, spec.objective is None):
         idx = sorted(index_set)
         read = [_on_stratum(s, idx) for s in supports]
         objective = [read.pop()] if spec.objective is not None else []
@@ -277,9 +276,8 @@ def zeta_deformation(
     if sign is None:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # every stratum holds the parameter, the last of the coordinates of I
     return _over_strata(spec, scope, lambda index_set, n, bodies: _covector_traces(
-        index_set, n, bodies, lambda a: sign * a[-1], _reduced_sum), must_contain_last=True)
+        index_set, n, bodies, lambda a: sign * a[-1], _reduced_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +288,12 @@ def _polynomial_stratum(index_set: frozenset[int], n: int,
                         bodies: list[list[Vec]]) -> list[ContributionTrace]:
     # Boundary factor: the covector constant on the whole subspace gives
     # (1 - t) to the power of the Euler characteristic of the restricted
-    # system on the stratum torus.  The bare covector-product formula omits
-    # it, but the cone route provably produces it, and it makes degree(zeta)
-    # equal the fiber Euler characteristic; see the route-equivalence tests.
-    e0 = _reduced_sum(bodies, LatticeFrame.standard(len(index_set)))
+    # system on the stratum torus, T_|I| of the bodies in Z^|I| (index 1).
+    # The bare covector-product formula omits it, but the cone route
+    # provably produces it, and it makes degree(zeta) the fiber Euler
+    # characteristic (see the route-equivalence tests).  The covector
+    # exponents reach ``_reduced_sum`` through ``_covector_traces``'s frame.
+    e0 = _q_sum(bodies, len(index_set))
     traces = ([ContributionTrace(index_set, None, 1, e0, tuple(map(_affine_dim, bodies)))]
               if e0 else [])
     # the objective's face leads: drop it, minus keep it (``q_tilde_exponent``)
@@ -315,7 +315,7 @@ def zeta_polynomial(
     """
     if spec.objective is None:
         raise ValueError("zeta_polynomial requires an objective")
-    return _over_strata(spec, scope, _polynomial_stratum, must_contain_last=False)
+    return _over_strata(spec, scope, _polynomial_stratum)
 
 
 def zeta_polynomial_via_cone(spec: SystemSpec) -> ZetaProduct:

@@ -29,6 +29,10 @@ support masks.  ``newton_number`` is Kouchnirenko's closed form for the
 Euler characteristic of a generic fiber, from volumes that
 ``lattice_point_volume_oracle`` counts: it shares no code with the
 mixed-area recursion that measures every zeta exponent.
+``euler_ci_projective`` (Hirzebruch) and ``euler_ci_torus_of_simplices``
+(Bernstein-Khovanskii) are closed forms in the degrees alone for
+complete intersections whose Newton polytopes are dilated standard
+simplices: integer series and symmetric functions, no polytope.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import factorial, gcd, prod
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product)
+from math import comb, factorial, gcd, prod
 from typing import Sequence
 
 from newtonzeta import (
@@ -447,3 +452,35 @@ def newton_number(support: Sequence[tuple[int, ...]], n: int) -> int:
             nu += (-1) ** (n - size) * factorial(size) * vol
     assert nu.denominator == 1, "Newton number failed to be an integer"
     return int(nu)
+
+
+def euler_ci_projective(degrees: Sequence[int], m: int) -> int:
+    """Hirzebruch's Euler characteristic of a smooth complete intersection
+    of the given degrees in P^m:
+
+        prod d_i [h^(m-k)] (1 + h)^(m+1) / prod (1 + d_i h),
+
+    with k = len(degrees); 0 when k > m, where the intersection is empty.
+    Dividing a series by 1 + d h replaces each coefficient c_j, in order,
+    by c_j - d c_(j-1)."""
+    top = m - len(degrees)
+    if top < 0:
+        return 0
+    series = [comb(m + 1, j) for j in range(top + 1)]
+    for d in degrees:
+        for j in range(1, top + 1):
+            series[j] -= d * series[j - 1]
+    return prod(degrees) * series[top]
+
+
+def euler_ci_torus_of_simplices(degrees: Sequence[int], n: int) -> int:
+    """Bernstein-Khovanskii's Euler characteristic of a nondegenerate
+    complete intersection in the n-torus whose Newton polytopes are the
+    simplices d_i * Delta_n:
+
+        (-1)^(n-k) prod d_i h_(n-k)(d_1, ..., d_k),
+
+    h_j the complete homogeneous symmetric polynomial of degree j."""
+    k = len(degrees)
+    h = sum(prod(c) for c in combinations_with_replacement(degrees, n - k))
+    return (-1) ** (n - k) * prod(degrees) * h

@@ -31,7 +31,8 @@ from newtonzeta import engine, lattice, polytope, systems, volumes
 from newtonzeta.engine import _strata_for
 from newtonzeta.lattice import _column_reduce
 from tests.conftest import deformation_corpus, random_support
-from tests.oracle import (newton_number, on_stratum_by_norms, stratum_frame,
+from tests.oracle import (euler_ci_projective, euler_ci_torus_of_simplices,
+                          newton_number, on_stratum_by_norms, stratum_frame,
                           stratum_traces, zeta_by_strata)
 
 
@@ -243,6 +244,30 @@ def test_infinity_mode_is_origin_mode_of_the_reflected_system():
     for spec in deformation_corpus():
         check(spec)
     settings(max_examples=200, deadline=None, derandomize=True)(
+        given(_deformations())(check))()
+
+
+def test_origin_mode_is_the_polynomial_z_n_on_the_intersection():
+    # the deformation at the origin is the function z_n on the same
+    # intersection: the same product, and the same traces in order once
+    # the objective's face, a point of dimension 0, leaves the face dims;
+    # the point objective's boundary factor and "keep" terms are all 0
+    def check(spec):
+        z_n = SystemSpec(spec.n, spec.constraints, parse_polynomial(
+            f"z{spec.n}", [f"z{i + 1}" for i in range(spec.n)]))
+        for scope in ("torus", "affine"):
+            z, traces = zeta_deformation(spec, "origin", scope)
+            z_p, traces_p = zeta_polynomial(z_n, scope)
+            assert z == z_p
+            assert all(t.face_dims[0] == 0 for t in traces_p)
+            assert ([(t.index_set, t.alpha, t.m, t.exponent, t.face_dims)
+                     for t in traces]
+                    == [(t.index_set, t.alpha, t.m, t.exponent, t.face_dims[1:])
+                        for t in traces_p])
+
+    for spec in deformation_corpus():
+        check(spec)
+    settings(max_examples=300, deadline=None, derandomize=True)(
         given(_deformations())(check))()
 
 
@@ -527,6 +552,40 @@ def test_affine_degree_is_kouchnirenkos_fiber_chi():
         assert z.degree() == 1 + (-1) ** (n - 1) * newton_number(sup, n)
 
     check()
+
+
+def _simplex_points(d, n):
+    """The lattice points of d * Delta_n."""
+    return [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
+
+
+@st.composite
+def _simplex_degrees(draw, codim):
+    """n <= 5 and 1 <= k <= n - codim degrees, each at most 3."""
+    n = draw(st.integers(1 + codim, 5))
+    k = draw(st.integers(1, n - codim))
+    return n, draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_simplex_degrees(0))
+def test_euler_of_simplices_is_bernstein_khovanskii(case):
+    n, degrees = case
+    bodies = [P(*_simplex_points(d, n)) for d in degrees]
+    assert euler_ci_torus(bodies, n) == euler_ci_torus_of_simplices(degrees, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_simplex_degrees(1))
+def test_affine_degree_of_simplices_is_hirzebruch(case):
+    # supports d_i * Delta_n: the generic fiber {z_n = c} is a complete
+    # intersection in C^(n-1), its closure in P^(n-1) less the one at
+    # infinity in P^(n-2), and deg zeta is its Euler characteristic
+    n, degrees = case
+    spec = SystemSpec.from_supports(n, [_simplex_points(d, n) for d in degrees])
+    chi = euler_ci_projective(degrees, n - 1) - euler_ci_projective(degrees, n - 2)
+    for mode in ("origin", "infinity"):
+        assert zeta_deformation(spec, mode, "affine")[0].degree() == chi, mode
 
 
 def test_monomial_change_fixing_parameter_axis():
@@ -827,3 +886,30 @@ def test_newton_polytopes_are_built_once_per_system(monkeypatch):
         objective_support=[[0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 2]])
     zeta_polynomial(polynomial, "affine")
     assert built == [*polynomial.constraints, polynomial.objective]
+
+
+def test_each_measured_stratum_builds_one_frame(monkeypatch):
+    # the one frame of a measured stratum is ``_covector_traces``'s: the
+    # polynomial's boundary factor is measured in Z^|I| with no frame, so
+    # both modes build as many frames as they measure strata
+    frames = []
+    init = lattice.LatticeFrame.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        frames.append(self)
+
+    monkeypatch.setattr(lattice.LatticeFrame, "__init__", counted)
+    deformation = SystemSpec.from_supports(
+        4, [[[1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]],
+            [[0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 2]]])
+    polynomial = SystemSpec.from_supports(
+        4, [[[1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 1, 1]]],
+        objective_support=[[0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 2]])
+    for zeta, args, strata in ((zeta_deformation, (deformation, "origin"), 4),
+                               (zeta_polynomial, (polynomial,), 7)):
+        frames.clear()
+        with mock.patch.object(engine, "_covector_traces",
+                               wraps=engine._covector_traces) as measured:
+            zeta(*args, scope="affine")
+        assert len(frames) == measured.call_count == strata

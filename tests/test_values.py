@@ -22,6 +22,7 @@ from newtonzeta import (
     SystemSpec,
     ZetaProduct,
     hull,
+    parse_polynomial,
     restrict_system,
 )
 from newtonzeta.polytope import FaceRecord
@@ -162,3 +163,42 @@ def test_newton_polytopes_are_cached_and_kept_out_of_value_semantics():
     assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
     copied = pickle.loads(pickle.dumps(spec))
     assert copied == spec and copied.newton_polytopes == polytopes
+
+
+def _terms(*pairs):
+    return tuple((exps, Fraction(c)) for exps, c in pairs)
+
+
+# each constructor's input checks, with the message each raises
+BAD_INPUTS = [
+    (lambda: PolynomialInput((), 1), "polynomial must have at least one term"),
+    (lambda: PolynomialInput(_terms(((1, 0), 1)), 1),
+     "exponent vector length does not match n"),
+    (lambda: PolynomialInput(_terms(((-1,), 1)), 1), "negative exponent"),
+    (lambda: PolynomialInput(_terms(((1,), 0)), 1), "zero coefficient stored"),
+    (lambda: PolynomialInput(_terms(((1,), 1), ((1,), 2)), 1),
+     "duplicate exponent vector"),
+    (lambda: SystemSpec(0, ()), "ambient dimension must be positive"),
+    (lambda: SystemSpec(3, (_poly(),)), "constraint dimension does not match n"),
+    (lambda: SystemSpec(3, (), _poly()), "objective dimension does not match n"),
+    (lambda: parse_polynomial("x", ["x", "x"]), "duplicate variable names"),
+    (lambda: LatticePolytope((IntPoint((0, 0)),), 3),
+     "vertex dimension does not match ambient_dim"),
+    (lambda: LatticePolytope((IntPoint((0,)), IntPoint((0,))), 1), "duplicate vertices"),
+    (lambda: hull([]), "ambient_dim required for an empty hull"),
+    (lambda: hull([IntPoint((0, 0))], 3), "ambient_dim does not match point dimension"),
+    (lambda: ContributionTrace(frozenset({0}), None, 1, 0, ()),
+     "traces record nonzero contributions only"),
+    (lambda: ContributionTrace(frozenset({0}), None, 0, 1, ()),
+     "trace power must be positive"),
+    (lambda: LatticeFrame(IntPoint((0,)), (), 2), "frame origin has wrong dimension"),
+    (lambda: LatticeFrame(IntPoint((0, 0)), (IntPoint((1,)),), 2),
+     "frame basis vector has wrong dimension"),
+]
+
+
+@pytest.mark.parametrize("make, message", BAD_INPUTS,
+                         ids=[message for _make, message in BAD_INPUTS])
+def test_constructors_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
