@@ -8,10 +8,11 @@ load-bearing step, so its completeness argument is spelled out at
 ``candidate_covectors``.  ``_over_strata`` takes each Newton vertex's
 support, the bit mask of its nonzero coordinates, once per spec, and
 reads each polytope once per stratum I: the vertices whose mask lies in
-I's, on the coordinates of I.  That one reading gives the covectors, the
-faces at each, the objective's power and the boundary factor, and it
-skips, before any hull, a stratum whose every exponent is 0 by its count
-of bodies or by a point body (``volumes._vanishes``).  The faces at a
+I's, on the coordinates of I.  That one reading skips, before any hull,
+a stratum whose every exponent is 0 by its count of bodies or by a point
+body (``volumes._vanishes``), and keys the memo ``_stratum_traces``, which
+gives the covectors, the faces at each, the objective's power and the
+boundary factor as the stratum's finished traces.  The faces at a
 covector alpha go to the frame sum ``volumes._reduced_sum`` as tuples,
 on the coordinates of I less the one ``lattice._hyperplane_measure``
 deletes, in the standard frame, and divided by the index of alpha's
@@ -21,11 +22,13 @@ Face dimensions are ranks of the faces' differences, as their transpose.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .lattice import Covector, LatticeFrame, _dot, _hyperplane_measure, _Value
 from .polytope import (
+    _MEMO_SIZE,
     LatticePolytope,
     Vec,
     _affine_dim,
@@ -165,12 +168,12 @@ def _supports(P: LatticePolytope) -> list[tuple[Vec, int]]:
     return [(v, sum(1 << i for i, c in enumerate(v) if c)) for v in P.raw_vertices()]
 
 
-def _on_stratum(supports: Sequence[tuple[Vec, int]], idx: Sequence[int]) -> list[Vec]:
+def _on_stratum(supports: Sequence[tuple[Vec, int]], idx: Sequence[int]) -> tuple[Vec, ...]:
     """The vertices in the coordinate subspace of I, on the coordinates of I:
     those whose support mask lies in I's.  On the subspace, dropping the
     other coordinates is a lattice bijection."""
     outside = ~sum(1 << i for i in idx)
-    return [tuple([v[i] for i in idx]) for v, mask in supports if not mask & outside]
+    return tuple([tuple([v[i] for i in idx]) for v, mask in supports if not mask & outside])
 
 
 def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
@@ -179,34 +182,50 @@ def _embed(a: Vec, idx: Sequence[int], n: int) -> Covector:
     return Covector(tuple(on_i.get(i, 0) for i in range(n)))
 
 
-def _covector_traces(
-    index_set: frozenset[int],
-    n: int,
-    bodies: Sequence[Sequence[Vec]],
-    power: Callable[[Vec], int],
-    exponent: Callable[[list[list[Vec]], LatticeFrame], int],
-) -> list[ContributionTrace]:
-    """A trace per candidate covector alpha of positive ``power`` and
-    nonzero ``exponent`` of the bodies' faces at alpha, in the lattice of
-    {x : x_i = 0 outside I, alpha(x) = 0}.  Bodies and alpha are on the
-    coordinates of I; each face, where alpha is least, lies in one
-    hyperplane of alpha and is measured by ``_hyperplane_measure`` in Z^l;
-    ``exponent`` gets the projected tuples and the stratum's standard frame.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _stratum_traces(index_set: frozenset[int], n: int, bodies: tuple[tuple[Vec, ...], ...],
+                    sign: int) -> tuple[ContributionTrace, ...]:
+    """The finished traces of stratum I: its boundary factor's, and one per
+    candidate covector alpha of positive power m and nonzero exponent e of
+    the bodies' faces at alpha.  Bodies and alpha are on the coordinates of
+    I; each face, where alpha is least, lies in one hyperplane of alpha and
+    is measured by ``_hyperplane_measure`` in Z^l, in the standard frame.
+    ``sign`` +1 / -1 is a deformation at the origin / at infinity: m is
+    sign * alpha_last, e is T_l of the faces.  ``sign`` 0 is the objective,
+    which leads the bodies: m is its least value of alpha, e drops its face
+    minus keeps it (``q_tilde_exponent``), and the boundary factor comes
+    first.  The key holds the raw bodies: m reads where the objective lies.
     """
     idx = sorted(index_set)
     l = len(idx) - 1
+    traces = []
+    if not sign:
+        # Boundary factor: the covector constant on the whole subspace gives
+        # (1 - t) to the power of the Euler characteristic of the restricted
+        # system on the stratum torus, T_|I| of the bodies in Z^|I| (index 1).
+        # The bare covector-product formula omits it, but the cone route
+        # provably produces it, and it makes degree(zeta) the fiber Euler
+        # characteristic (see the route-equivalence tests).
+        e0 = _q_sum(bodies, l + 1)
+        if e0:
+            traces.append(ContributionTrace(index_set, None, 1, e0,
+                                            tuple(map(_affine_dim, bodies))))
     frame = LatticeFrame.standard(l)
-    traces: list[ContributionTrace] = []
+
+    def exponent(faces: list[list[Vec]]) -> int:
+        keep = _reduced_sum(faces, frame)
+        return keep if sign else _reduced_sum(faces[1:], frame) - keep
+
     for a in _sum_normals(bodies, l + 1):
-        m = power(a)
+        m = sign * a[-1] if sign else min(_dot(a, p) for p in bodies[0])
         if m <= 0:
             continue
         faces = [_face_at(a, pts) for pts in bodies]
-        e = _hyperplane_measure(a, faces, lambda projected: exponent(projected, frame))
+        e = _hyperplane_measure(a, faces, exponent)
         if e:
             traces.append(ContributionTrace(index_set, _embed(a, idx, n), m, e,
                                             tuple(map(_affine_dim, faces))))
-    return traces
+    return tuple(traces)
 
 
 def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[int]]:
@@ -218,11 +237,8 @@ def _strata_for(n: int, scope: str, must_contain_last: bool) -> list[frozenset[i
             for c in combinations(range(n), size) if not must_contain_last or n - 1 in c]
 
 
-def _over_strata(
-    spec: SystemSpec,
-    scope: str,
-    stratum: Callable[[frozenset[int], int, list[list[Vec]]], list[ContributionTrace]],
-) -> tuple[ZetaProduct, list[ContributionTrace]]:
+def _over_strata(spec: SystemSpec, scope: str,
+                 sign: int) -> tuple[ZetaProduct, list[ContributionTrace]]:
     """The product of all traces' factors, with the traces in stratum order.
 
     The support masks of ``spec.newton_polytopes`` are taken once, and
@@ -246,9 +262,9 @@ def _over_strata(
         read = [_on_stratum(s, idx) for s in supports]
         objective = [read.pop()] if spec.objective is not None else []
         bodies = [pts for pts in read if pts]
-        if _vanishes(bodies, len(idx) - 1) or [] in objective:
+        if _vanishes(bodies, len(idx) - 1) or () in objective:
             continue
-        traces.extend(stratum(index_set, spec.n, objective + bodies))
+        traces.extend(_stratum_traces(index_set, spec.n, tuple(objective + bodies), sign))
     total: dict[int, int] = {}
     for t in traces:
         total[t.m] = total.get(t.m, 0) + t.exponent
@@ -275,33 +291,12 @@ def zeta_deformation(
     sign = {"origin": +1, "infinity": -1}.get(mode)
     if sign is None:
         raise ValueError(f"unknown mode {mode!r}")
-
-    return _over_strata(spec, scope, lambda index_set, n, bodies: _covector_traces(
-        index_set, n, bodies, lambda a: sign * a[-1], _reduced_sum))
+    return _over_strata(spec, scope, sign)
 
 
 # ---------------------------------------------------------------------------
 # polynomial on a complete intersection
 # ---------------------------------------------------------------------------
-
-def _polynomial_stratum(index_set: frozenset[int], n: int,
-                        bodies: list[list[Vec]]) -> list[ContributionTrace]:
-    # Boundary factor: the covector constant on the whole subspace gives
-    # (1 - t) to the power of the Euler characteristic of the restricted
-    # system on the stratum torus, T_|I| of the bodies in Z^|I| (index 1).
-    # The bare covector-product formula omits it, but the cone route
-    # provably produces it, and it makes degree(zeta) the fiber Euler
-    # characteristic (see the route-equivalence tests).  The covector
-    # exponents reach ``_reduced_sum`` through ``_covector_traces``'s frame.
-    e0 = _q_sum(bodies, len(index_set))
-    traces = ([ContributionTrace(index_set, None, 1, e0, tuple(map(_affine_dim, bodies)))]
-              if e0 else [])
-    # the objective's face leads: drop it, minus keep it (``q_tilde_exponent``)
-    return traces + _covector_traces(
-        index_set, n, bodies, lambda a: min(_dot(a, p) for p in bodies[0]),
-        lambda faces, frame: _reduced_sum(faces[1:], frame) - _reduced_sum(faces, frame),
-    )
-
 
 def zeta_polynomial(
     spec: SystemSpec,
@@ -315,7 +310,7 @@ def zeta_polynomial(
     """
     if spec.objective is None:
         raise ValueError("zeta_polynomial requires an objective")
-    return _over_strata(spec, scope, _polynomial_stratum)
+    return _over_strata(spec, scope, 0)
 
 
 def zeta_polynomial_via_cone(spec: SystemSpec) -> ZetaProduct:

@@ -63,15 +63,16 @@ __all__ = [
 
 Vec = tuple[int, ...]
 
-# Bound on the entries of each lru_cache memo here and in ``volumes``:
-# over seeds 1-10 of every benchmark workload the largest cold pass
-# holds 607 entries in ``_q_sum_of`` (deform-affine; 833 with the
-# round's Euler checks) and 376 in ``_dd`` (polyzeta-cone; 531 in a
-# deform-affine round with its checks), so no round evicts.  At the
-# largest measured bytes per entry (tracemalloc's drop on each
-# ``cache_clear()``, ``_dd`` cleared last: 4.4 KB ``_dd`` and 1.4 KB
-# ``_q_sum_of``, both mixedvol-d4), the two memos hold about 48 MB
-# when full.
+# Bound on the entries of each lru_cache memo here, in ``volumes`` and in
+# ``engine``: over seeds 1-10 of every benchmark workload the largest cold
+# pass holds 607 entries in ``_q_sum_of`` (deform-affine; 833 with the
+# round's Euler checks), 376 in ``_dd`` (polyzeta-cone; 531 in a
+# deform-affine round with its checks) and 210 in ``_stratum_traces``
+# (polyzeta-cone), so no round evicts.  At the largest measured bytes per
+# entry (tracemalloc's drop on each ``cache_clear()``, ``_dd`` cleared
+# last: 4.4 KB ``_dd`` and 1.4 KB ``_q_sum_of``, both mixedvol-d4, and
+# 1.5 KB ``_stratum_traces``, deform-affine seed 1), the three memos hold
+# about 60 MB when full.
 _MEMO_SIZE = 8192
 
 # Bound on the live rays of one double description, checked after each

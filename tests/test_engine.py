@@ -752,7 +752,7 @@ def _signed_polytopes(draw):
 def test_stratum_read_by_masks_matches_the_norm_rule(case):
     body, idx = case
     got = engine._on_stratum(engine._supports(body), idx)
-    assert got == on_stratum_by_norms(body.raw_vertices(), idx)
+    assert got == tuple(on_stratum_by_norms(body.raw_vertices(), idx))
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +795,7 @@ def test_strata_driver_matches_the_unskipped_oracle():
     def check(spec):
         signs = [None] if spec.objective is not None else [+1, -1]
         for sign, scope in product(signs, ("torus", "affine")):
+            engine._stratum_traces.cache_clear()
             with mock.patch.object(engine, "_sum_normals",
                                    wraps=engine._sum_normals) as enumeration:
                 if sign is None:
@@ -823,7 +824,7 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     # unit basis made 20, reducing each flat sum again for its line
     # normal, which its DD now reads off its first reduction, made 14, and
     # projecting each flat set and reducing the projection again made 12
-    for memo in (polytope._dd, volumes._q_sum_of):
+    for memo in (polytope._dd, volumes._q_sum_of, engine._stratum_traces):
         memo.cache_clear()
     calls = {"reduce": 0}
 
@@ -839,12 +840,12 @@ def test_stratum_measure_runs_no_kernel(monkeypatch):
     assert z.factors == ((1, 2), (3, -1), (7, -1))
     assert {(0, 2, 3), (3, 2, 3)} <= {t.alpha.comps for t in traces}
     assert calls == {"reduce": 8}
-    # a warm repeat reduces 2 times, once for the dimension of each of the
-    # two faces of three points; no stratum read, no standard frame, no
-    # flat sum and no zero key reduces
+    # a warm repeat reduces nothing: each measured stratum's finished
+    # traces come from ``_stratum_traces``, which reduced each of the two
+    # faces of three points for its dimension once, when it was cold
     calls.update(reduce=0)
     assert zeta_deformation(spec, mode="origin", scope="affine") == (z, traces)
-    assert calls == {"reduce": 2}
+    assert calls == {"reduce": 0}
 
 
 def test_stratum_measure_wraps_no_face(monkeypatch):
@@ -889,7 +890,7 @@ def test_newton_polytopes_are_built_once_per_system(monkeypatch):
 
 
 def test_each_measured_stratum_builds_one_frame(monkeypatch):
-    # the one frame of a measured stratum is ``_covector_traces``'s: the
+    # the one frame of a measured stratum is ``_stratum_traces``'s: the
     # polynomial's boundary factor is measured in Z^|I| with no frame, so
     # both modes build as many frames as they measure strata
     frames = []
@@ -909,7 +910,8 @@ def test_each_measured_stratum_builds_one_frame(monkeypatch):
     for zeta, args, strata in ((zeta_deformation, (deformation, "origin"), 4),
                                (zeta_polynomial, (polynomial,), 7)):
         frames.clear()
-        with mock.patch.object(engine, "_covector_traces",
-                               wraps=engine._covector_traces) as measured:
+        engine._stratum_traces.cache_clear()
+        with mock.patch.object(engine, "_stratum_traces",
+                               wraps=engine._stratum_traces) as measured:
             zeta(*args, scope="affine")
         assert len(frames) == measured.call_count == strata
