@@ -18,14 +18,14 @@ stratum work; its ``cache_info()`` reports size and hit rate,
 rays raises ``HullTooLarge``, so no input runs on for minutes; the memo
 stores no error.
 
-The sweep inserts the points after its start cone farthest from their
-centroid first; its outputs are sorted and indexed by input position, so
+The sweep takes the points farthest from their centroid first, its start
+cone's too; its outputs are sorted and indexed by input position, so
 none depends on that order, only the sweep's transient rays do.
 
-Masks find the vertices, bookkept rather than recomputed: each ray of
-the sweep carries the mask of processed points it is zero on, and a new
-ray inherits the common mask of its two parents (see ``_dd``).  Vertices
-are then read from those masks combinatorially: a point is a vertex
+Masks find the vertices, bookkept rather than recomputed: each ray
+carries the mask of the start and cut rows it is zero on (a row that
+cuts no ray lies in the hull before it, and gets no bit), a new ray the
+common mask of its two parents (see ``_dd``).  A point is a vertex
 exactly when the facets through it meet in that point alone, because
 the points are distinct and the smallest face containing a point is the
 intersection of the facets through it.
@@ -78,7 +78,7 @@ _MEMO_SIZE = 8192
 # Bound on the live rays of one double description, checked after each
 # point that cuts a ray: over seeds 1-10 of every benchmark workload no
 # sweep holds more than 88 (mixedvol-d4), and the mixed volumes of five
-# random 7-point bodies in [0,4]^5 (seeds 1-3) peak at 2,038.  The
+# random 7-point bodies in [0,4]^5 (seeds 1-3) peak at 2,035.  The
 # facets of a hull can grow like N^(d/2) (McMullen's upper bound
 # theorem): 60 random points of [0,9]^8 pass the bound after 3.4 s of
 # CPU on a 2-core Xeon, where the sweep would run for minutes.
@@ -158,9 +158,11 @@ class FaceRecord(_Value):
 # ---------------------------------------------------------------------------
 
 def _canonical_pts(pts: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Sorted, deduplicated, translated so the lexicographic min is 0."""
+    """Sorted, deduplicated, translated so the lexicographic min is 0 (kept if it is)."""
     uniq = sorted(set(pts))
     base = uniq[0]
+    if not any(base):
+        return tuple(uniq)
     return tuple(_sub(p, base) for p in uniq)
 
 
@@ -191,25 +193,30 @@ def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], .
 
     ``_triangular_inverse`` reads the start rays off the reduction: ray j
     is primitive, zero on the other start rows and positive on row j, so
-    it spans their saturated kernel modulo the lineality space, as a
-    kernel route would give.
+    it spans their saturated kernel modulo the lineality space.
 
-    The other rows follow farthest from the centroid first, ties in index
-    order.  Far points are more likely vertices, and a point in the hull
-    of the rows so far is on the nonnegative side of every ray, so the
-    non-vertices, coming late, mostly pass the all-nonnegative test
-    without making transient rays.
-    The extreme rays, and so every output, are the same in any order.
+    All rows are sorted farthest from the centroid first, ties in index
+    order, before the reduction: the start rows are the first independent
+    far points.  A later row on which no ray is negative lies in the hull
+    of the rows before it, as the start rows span the row space, so it is
+    never a vertex and gets no bit (the adjacency test holds for any rows
+    that cut out the cone).  Far points are likelier vertices, so the
+    others come late and mostly cut nothing; no output depends on order.
 
     The masks are inherited, not rescanned.  A start ray is zero on every
-    start row but its own.  A ray created at row t is ``vp*r_m - vm*r_p``
-    with ``vp > 0 > vm``, and both parents are >= 0 on every earlier row,
-    so there it is a sum of two nonnegative terms, zero exactly when both
-    are; on row t it is zero by construction.  Its mask is therefore the
-    parents' common mask plus bit t.
+    start row but its own.  A ray made at cut row t, ``vp*r_m - vm*r_p``
+    with ``vp > 0 > vm``, is zero on an earlier row exactly when both
+    parents are (both are >= 0 there) and on row t, so its mask is their
+    common mask plus t's bit.  Only start and cut rows, which hold every
+    vertex, are tested as vertices.
     """
-    d = len(pts[0])
-    rows = [(1,) + p for p in pts]
+    d, n = len(pts[0]), len(pts)
+    # rows far from the centroid first: n|p|^2 - 2 p.s, with s the
+    # coordinate sums, orders them as n^2 |p - s/n|^2 does
+    s2 = [2 * sum(col) for col in zip(*pts)]
+    order = sorted(range(n), key=lambda i: sum(map(mul, s2, pts[i]))
+                   - n * sum(map(mul, pts[i], pts[i])))
+    rows = [(1,) + pts[i] for i in order]
     # one reduction picks the start cone's rows and gives the lineality space
     pivots, kernel = _column_reduce(rows, d + 1)
     w = len(pivots)
@@ -217,33 +224,22 @@ def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], .
     if len(kernel) == 1:
         c0, *u = kernel[0]  # c0 + u.p = 0 on every point
         facets = tuple(sorted([(tuple(u), -c0), (tuple(-c for c in u), c0)]))
-    if w == 1:  # one point: no ray to sweep
-        return (0,), facets
-    init_idx = [i for i, _col, _g in pivots]
-
-    # the other points farthest from the centroid first: n|p|^2 - 2 p.s,
-    # with s the coordinate sums, orders them as n^2 |p - s/n|^2 does
-    start = set(init_idx)
-    rest = [i for i in range(len(pts)) if i not in start]
-    if len(rest) > 1:
-        n, s2 = len(pts), [2 * sum(col) for col in zip(*pts)]
-        rest.sort(key=lambda i: sum(map(mul, s2, pts[i]))
-                  - n * sum(map(mul, pts[i], pts[i])))
-    order = init_idx + rest
-    rays = _triangular_inverse([rows[i] for i in init_idx], pivots)
+    if w == n and (kernel or n == 1):  # a flat simplex: all vertices, no rays
+        return tuple(range(n)), facets
+    cut = [i for i, _col, _g in pivots]  # the rows with a mask bit, bit j for cut[j]
+    rays = _triangular_inverse([rows[i] for i in cut], pivots)
 
     # ray j is zero exactly on the start rows other than j
     full = (1 << w) - 1
     masks = [full ^ (1 << j) for j in range(w)]
 
-    for t in range(w, len(order)):
-        a = rows[order[t]]
+    for t in sorted(set(range(n)).difference(cut)):
+        a = rows[t]
         vals = [sum(map(mul, a, r)) for r in rays]
         if min(vals) >= 0:
-            for i, v in enumerate(vals):
-                if not v:
-                    masks[i] |= 1 << t
-            continue
+            continue  # in the hull of the rows before it: no bit
+        bit = len(cut)
+        cut.append(t)
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         fresh: list[tuple[Vec, int]] = []
@@ -260,22 +256,22 @@ def _dd(pts: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[tuple[Vec, int], .
                     combo = tuple(
                         vp * cm - vm * cp for cp, cm in zip(rays[ip], rays[im])
                     )
-                    fresh.append((_primitive(combo), common | (1 << t)))
+                    fresh.append((_primitive(combo), common | (1 << bit)))
         # no ray comes twice: a kept ray equal to a fresh one would dominate
         # its pair, and a ray from two pairs would lie inside two 2-faces
         kept = [i for i, v in enumerate(vals) if v >= 0]
-        masks = [masks[i] | ((vals[i] == 0) << t) for i in kept] + [m for _, m in fresh]
+        masks = [masks[i] | ((vals[i] == 0) << bit) for i in kept] + [m for _, m in fresh]
         rays = [rays[i] for i in kept] + [r for r, _ in fresh]
         if len(rays) > _MAX_RAYS:
             raise HullTooLarge(pts)
 
-    # a point is a vertex when the AND of the masks through it is its bit
-    common = [-1] * len(order)
+    # a row is a vertex when the AND of the masks through it is its bit
+    common = [-1] * len(cut)
     for m in masks:
-        for t in range(len(order)):
-            if m >> t & 1:
-                common[t] &= m
-    vertices = tuple(sorted(order[t] for t, c in enumerate(common) if c == 1 << t))
+        for j in range(len(cut)):
+            if m >> j & 1:
+                common[j] &= m
+    vertices = tuple(sorted(order[cut[j]] for j, c in enumerate(common) if c == 1 << j))
     assert all(any(r[1:]) for r in rays), "trivial dual ray should not be extreme"
     if not kernel:
         facets = tuple(sorted((r[1:], -r[0]) for r in rays))

@@ -433,19 +433,28 @@ def test_dd_start_cone_matches_one_kernel_per_facet(monkeypatch):
             assert _dd.__wrapped__(tuple(pts)) == want
     assert max(gcds) > 1
 
-    # the start rays come from the reduction that picks the start rows
-    simplex = ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5))
-    want = ((0, 1, 2, 3), _simplex_facets_by_kernels(simplex))
+    # the start rays come from the reduction that picks the start rows,
+    # and a flat simplex (corank 1, then 2) is all vertices with no rays
     calls = []
 
-    def counted(rows, n):
-        calls.append(n)
-        return _column_reduce(rows, n)
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
 
-    monkeypatch.setattr(lattice, "_column_reduce", counted)
-    monkeypatch.setattr(polytope, "_column_reduce", counted)
-    assert _dd.__wrapped__(simplex) == want
-    assert calls == [4]
+    for name in ("_column_reduce", "_triangular_inverse"):
+        f = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, counted(name, f))
+        monkeypatch.setattr(polytope, name, counted(name, f))
+    simplex = ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 5))
+    assert _dd.__wrapped__(simplex) == ((0, 1, 2, 3), _simplex_facets_by_kernels(simplex))
+    assert calls == ["_column_reduce", "_triangular_inverse"]
+    for flat, sides in ((((0, 0, 0), (2, 0, 0), (0, 3, 0)), (((0, 0, -1), 0), ((0, 0, 1), 0))),
+                        (((0, 0, 0), (1, 2, 3)), ())):
+        calls.clear()
+        assert _dd.__wrapped__(flat) == (tuple(range(len(flat))), sides)
+        assert calls == ["_column_reduce"]
 
 
 @st.composite
@@ -481,6 +490,58 @@ def test_dd_matches_the_subset_oracle_in_any_input_order():
 
     check()
     assert reached == {2, 3, 4}
+
+
+@st.composite
+def _corners_with_inner_points(draw):
+    """The corner simplex conv(0, k e_1, ..., k e_d), k = 2 or 3, d = 5 or 6,
+    and 1-4 points of {0,1}^d: one near 0 can be farther from the centroid
+    than 0 and still inside the simplex, so it cuts and 0 swallows it;
+    full-dimensional and small enough for the subset oracle."""
+    d, k = draw(st.sampled_from((5, 6))), draw(st.sampled_from((2, 3)))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=4))
+    corner = [(0,) * d] + [tuple(k * (i == j) for j in range(d)) for i in range(d)]
+    pts = tuple(sorted(set(corner + extra)))
+    return d, pts, draw(st.permutations(range(len(pts))))
+
+
+def test_dd_matches_the_subset_oracle_in_five_and_six_dimensions(monkeypatch):
+    # in any input order; the reduction is watched for the sweep's row
+    # order and start rows, and the oracle says which later rows cut: a
+    # row in the hull of the rows swept before it cuts nothing, and a row
+    # that cuts may still be swallowed by a later one
+    seen = []
+
+    def watched(rows, n):
+        seen.append((rows, _column_reduce(rows, n)[0]))
+        return _column_reduce(rows, n)
+
+    monkeypatch.setattr(polytope, "_column_reduce", watched)
+    reached = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_corners_with_inner_points())
+    def check(case):
+        d, pts, perm = case
+        want = facets_by_subsets(pts, d)
+        seen.clear()
+        assert _dd.__wrapped__(pts) == want
+        verts, facets = _dd.__wrapped__(tuple(pts[i] for i in perm))
+        assert (tuple(sorted(perm[i] for i in verts)), facets) == want
+        vertices = {pts[i] for i in want[0]}
+        for rows, pivots in seen:
+            start = {i for i, _col, _g in pivots}
+            swept = [rows[i][1:] for i in sorted(start)]
+            for t, row in enumerate(rows):
+                if t not in start:
+                    p = row[1:]
+                    if p not in vertices:
+                        cuts = len(swept) in facets_by_subsets(swept + [p], d)[0]
+                        reached.add((d, "swallowed" if cuts else "cuts nothing"))
+                    swept.append(p)
+
+    check()
+    assert reached == {(d, kind) for d in (5, 6) for kind in ("cuts nothing", "swallowed")}
 
 
 @st.composite
@@ -529,7 +590,8 @@ def test_dd_sweeps_a_flat_set_as_its_preimage():
 def test_dd_inserts_far_points_first(monkeypatch):
     # the outputs do not depend on the row order, so the work pins it: on
     # the 256-point sum of two 4-boxes (16 vertices) index order makes 254
-    # fresh rays, far points first 21
+    # fresh rays, far points after an index-order start cone 21, and far
+    # points first, the start cone among them, 14
     fresh = []
 
     def counted(v):
@@ -544,4 +606,30 @@ def test_dd_inserts_far_points_first(monkeypatch):
     assert len(pts) == 256
     verts, facets = _dd.__wrapped__(pts)
     assert len(verts) == 16 and len(facets) == 8
-    assert len(fresh) == 21
+    assert len(fresh) == 14
+
+
+def test_canonical_points_of_a_sum_of_canonical_sets_are_the_sorted_sum(monkeypatch):
+    # a canonical set's least point is the origin, so a sum of canonical
+    # sets has the origin as its least point too and needs no translation
+    subs = []
+
+    def counted(p, q):
+        subs.append(q)
+        return sub(p, q)
+
+    sub = polytope._sub
+    monkeypatch.setattr(polytope, "_sub", counted)
+    rng = random.Random(3232)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        bodies = [polytope._canonical_pts(tuple(rng.randint(-3, 3) for _ in range(d))
+                                          for _ in range(rng.randint(1, 4)))
+                  for _ in range(rng.randint(2, 3))]
+        subs.clear()
+        pts = [tuple(map(sum, zip(*combo))) for combo in product(*bodies)]
+        assert polytope._canonical_pts(pts) == tuple(sorted(set(pts)))
+        assert subs == []
+    moved = [(1, 2), (0, 5), (3, -1)]
+    assert polytope._canonical_pts(moved) == ((0, 0), (1, -3), (3, -6))
+    assert subs == [(0, 5)] * 3

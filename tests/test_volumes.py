@@ -248,6 +248,46 @@ def test_mixed_volume_unimodular_invariance():
         assert mixed_volume_of([apply(Q) for Q in bodies], frame) == v
 
 
+@st.composite
+def _bodies_and_unimodular_maps(draw):
+    """d bodies of 2-4 points of [0,2]^d, d = 2..4, and U in GL_d(Z), a
+    product of 1-6 elementary moves: add c times one column to another,
+    |c| <= 2, or negate a column."""
+    d = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 2)] * d)
+    bodies = draw(st.lists(st.lists(point, min_size=2, max_size=4, unique=True),
+                           min_size=d, max_size=d))
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    moves = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(moves, min_size=1, max_size=6)):
+        for row in U:
+            row[i] = -row[i] if i == j else row[i] + c * row[j]
+    return d, bodies, U
+
+
+def test_mixed_volume_is_invariant_under_unimodular_maps():
+    # MV(UK_1, ..., UK_d) = MV(K_1, ..., K_d); both memos are emptied
+    # before each side, so the image runs its own sweeps
+    reached = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_bodies_and_unimodular_maps())
+    def check(case):
+        d, bodies, U = case
+        frame = LatticeFrame.standard(d)
+        image = [[tuple(sum(map(mul, row, p)) for row in U) for p in body] for body in bodies]
+        values = []
+        for sets in (bodies, image):
+            _dd.cache_clear()
+            volumes._q_sum_of.cache_clear()
+            values.append(mixed_volume_of([P(*body) for body in sets], frame))
+        assert values[0] == values[1]
+        reached.add((d, values[0] > 0))
+
+    check()
+    assert {(d, True) for d in (2, 3, 4)} <= reached
+
+
 def test_mixed_volume_validates_arity():
     frame = LatticeFrame.standard(2)
     with pytest.raises(ValueError, match="frame rank"):
