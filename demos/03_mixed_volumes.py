@@ -1,18 +1,17 @@
-"""Lattice volumes and mixed volumes, with the counting cross-check.
+"""Lattice volumes and mixed volumes, and identities that tie them.
 
 The normalization is the lattice one: the fundamental cell of the
 lattice in an l-dimensional rational subspace has volume 1, so the unit
 l-simplex measures 1/l! and l! times a mixed volume is always a
 nonnegative integer (it is a count of solutions, by Bernstein's
-theorem).  An independent oracle recovers every volume by counting
-lattice points of dilates and interpolating.
+theorem).  A volume is the mixed volume of l copies of the body, and
+dilating a body by t scales its volume by t^l.
 """
 
 from newtonzeta import (
     IntPoint,
     LatticeFrame,
     hull,
-    lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     mixed_volume_of,
@@ -31,11 +30,13 @@ triangle = P((0, 0), (1, 0), (0, 1))
 print("    2x2 square:   ", lattice_volume(square, frame2))
 print("    unit triangle:", lattice_volume(triangle, frame2))
 
-print("\nthe counting oracle sees the same numbers:")
+print("\nthe same volumes as mixed volumes, and under dilation (l = 2):")
 for name, body in (("square", square), ("triangle", triangle)):
-    direct = lattice_volume(body, frame2)
-    counted = lattice_point_volume_oracle(body, frame2)
-    print(f"    {name}: facet pyramids {direct}, interpolated from counts {counted}")
+    vol = lattice_volume(body, frame2)
+    twice = P(*[[2 * c for c in v.coords] for v in body.vertices])
+    print(f"    {name}: 2! Vol = {2 * vol} = MV(P, P) ="
+          f" {mixed_volume_of([body, body], frame2)};"
+          f" 2^2 Vol = {4 * vol} = Vol(2P) = {lattice_volume(twice, frame2)}")
 
 print("\na segment measured inside its own affine line:")
 seg = P((0, 0), (3, 3))

@@ -5,9 +5,10 @@ monodromy zeta-function of a one-parameter polynomial deformation of a
 complete intersection (at the origin and at infinity of the parameter)
 and of a polynomial restricted to a complete intersection, directly
 from the Newton polytopes of the input.  Lattice-normalized mixed
-volumes, an independent lattice-point-counting volume oracle, the cone
-construction, and Euler-characteristic identities provide built-in
-cross-validation.
+volumes, the cone construction, and Euler-characteristic identities
+provide built-in cross-validation; the independent routes that the
+tests check against, lattice-point counting among them, are in
+``tests/oracle.py``.
 
 Each public name is listed once, in its module's ``__all__``; the
 package republishes those lists.

@@ -34,7 +34,6 @@ from .polytope import (
     _affine_dim,
     hull,  # not called here; perfbench's tracer test reads engine.hull
 )
-from .qforms import q_exponent
 from .systems import SystemSpec, cone_system
 from .volumes import _face_at, _q_sum, _reduced_sum, _sum_normals, _vanishes
 
@@ -332,10 +331,15 @@ def euler_ci_torus(polytopes: Sequence[LatticePolytope], n: int) -> int:
     """Euler characteristic of a nondegenerate complete intersection in
     the n-torus, from the Newton polytopes of its equations.
 
-    Any empty polytope means an equation with empty support on the
+    It is T_n of the bodies' vertices, ``volumes._q_sum`` in Z^n.  Any
+    empty polytope means an equation with empty support on the
     stratum, hence an empty intersection: returns 0.
     """
     bodies = list(polytopes)
     if len(bodies) > n:
         raise ValueError("more equations than torus dimension")
-    return q_exponent(n, bodies, LatticeFrame.standard(n))
+    if any(P.is_empty for P in bodies):
+        return 0
+    if any(P.ambient_dim != n for P in bodies):
+        raise ValueError("polytope dimension does not match the torus")
+    return _q_sum([[v.coords for v in P.vertices] for P in bodies], n)

@@ -34,13 +34,11 @@ A set of l + k points of rank l is one simplex, measured by one
 determinant with no hull.  ``_vanishes`` is the one zero rule, by
 counting (more bodies than l, a point body), for ``_q_sum`` and the
 engine's strata; ``_q_sum`` builds the canonical key for every other
-case, so the memo stores no zero answer; it serves ``lattice_volume``,
-``mixed_volume_of``, ``qforms`` and the engine's faces, which
-``_reduced_sum`` takes as tuples, and the recursion itself.
-A lattice-point counting oracle (dilate, count, interpolate) provides an
-independent route to the projected volumes for cross-validation: it
-scans the bounding box of a body but its last coordinate, and the
-body's facets bound that coordinate to an interval on each prefix.
+case, so the memo stores no zero answer.  It is the one volume route:
+``lattice_volume``, ``mixed_volume_of`` and ``qforms`` reach it through
+``_frame_sum``, the engine's faces through ``_reduced_sum``, and the
+engine's boundary factors, ``euler_ci_torus`` and the recursion itself
+call it on tuples in Z^l.
 
 The memos are ``functools.lru_cache`` on canonical tuples, each bounded
 by ``polytope._MEMO_SIZE``.  Each measured sum runs one double
@@ -57,19 +55,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add
 from typing import Sequence
 
-from .lattice import (LatticeFrame, _column_reduce, _dot, _hyperplane_measure,
-                      _span_coords)
+from .lattice import LatticeFrame, _column_reduce, _dot, _hyperplane_measure
 from .polytope import _MEMO_SIZE, LatticePolytope, Vec, _canonical_pts, _dd, _sub
 
 __all__ = [
     "lattice_volume",
     "mixed_volume_of",
-    "lattice_point_volume_oracle",
 ]
 
 # ---------------------------------------------------------------------------
@@ -233,75 +228,3 @@ def mixed_volume_of(
     result = _frame_sum(polytopes, frame)
     assert result >= 0, "mixed volume failed to be nonnegative"
     return result
-
-
-# ---------------------------------------------------------------------------
-# lattice point counting oracle
-# ---------------------------------------------------------------------------
-
-def _independent_diffs(pts: Sequence[Vec]) -> Sequence[Vec]:
-    """``_canonical_pts(pts)``, on coordinates independent on their span.
-
-    Full-rank points are returned as they are.  Below full rank the
-    projection onto the greedy independent coordinates is injective on
-    the span, so it keeps the order, vertices, faces and the dimension.
-    """
-    diffs = _canonical_pts(pts)
-    pivots, normals = _column_reduce(diffs, len(diffs[0]))
-    if normals:
-        keep = _span_coords(diffs, pivots)[0]
-        diffs = [tuple(p[j] for j in keep) for p in diffs]
-    return diffs
-
-
-def _count_lattice_points(pts: Sequence[Vec]) -> int:
-    """Number of lattice points in conv(pts), when pts span Q^n.
-
-    The count does not depend on translation, so the box scan runs on the
-    set its ``_dd`` sweeps, ``_canonical_pts`` of the independent diffs.
-    Below full rank it counts the points of a projection onto independent
-    coordinates, whose Ehrhart polynomial has the same degree: the degree
-    is all the oracle needs of a lower-dimensional body.  Each point x of
-    the bounding box on every coordinate but the last adds the length of
-    the interval of last coordinates y that the facets leave: a.(x, y) >= b
-    is a lower bound on y when a_y > 0, an upper one when a_y < 0, and a
-    bound on x alone when a_y = 0.
-    """
-    reduced = _canonical_pts(_independent_diffs(pts))
-    if not reduced[0]:
-        return 1
-    facets = [(a[:-1], a[-1], b) for a, b in _dd(reduced)[1]]
-    *box, last = [(min(c), max(c)) for c in zip(*reduced)]
-    total = 0
-    for x in product(*[range(lo, hi + 1) for lo, hi in box]):
-        lo, hi = last
-        for a, a_y, b in facets:
-            rest = b - _dot(a, x)  # a_y * y >= rest
-            if a_y > 0:
-                lo = max(lo, -(-rest // a_y))
-            elif a_y < 0:
-                hi = min(hi, rest // a_y)
-            elif rest > 0:
-                break
-        else:
-            total += max(0, hi - lo + 1)
-    return total
-
-
-def lattice_point_volume_oracle(
-    P: LatticePolytope, frame: LatticeFrame
-) -> Fraction:
-    """Volume via Ehrhart-style counting, independent of the facet pyramids.
-
-    Counts lattice points of the dilates tP for t = 0..l, takes the l-th
-    finite difference to extract the leading coefficient of the counting
-    polynomial, which is exactly the normalized l-volume.
-    """
-    if P.is_empty:
-        raise ValueError("volume of empty polytope")
-    l = frame.rank
-    reduced = _reduce_to_frame(P, frame)
-    counts = [_count_lattice_points([tuple(t * c for c in p) for p in reduced])
-              for t in range(l + 1)]
-    lead = sum((-1) ** (l - i) * comb(l, i) * counts[i] for i in range(l + 1))
-    return Fraction(lead, factorial(l) * frame.index)

@@ -19,16 +19,20 @@ reference for the engine's strata driver: it restricts every stratum
 with ``restrict_system`` and skips none, where the engine reads each
 stratum once and skips those that cannot contribute.
 ``facets_by_subsets`` finds facets from the hyperplanes through every
-d-subset of the points, by signed minors; it is the reference for the
+d-subset of the points, by signed minors that a fraction-free
+(Bareiss) elimination takes; it is the reference for the
 double description in any input order.  ``expand_expression``
 multiplies out an expression tree one term choice at a time, a power as
 k factors like any product; it is the reference for the polynomial
 parser, which it shares no code with.  ``on_stratum_by_norms`` reads a
 stratum by comparing 1-norms, the reference for the engine's read by
-support masks.  ``newton_number`` is Kouchnirenko's closed form for the
-Euler characteristic of a generic fiber, from volumes that
-``lattice_point_volume_oracle`` counts: it shares no code with the
-mixed-area recursion that measures every zeta exponent.
+support masks.  ``lattice_point_volume_oracle`` counts the lattice
+points of the dilates of a body and interpolates; its box scan bounds
+the last coordinate by facets that ``facets_by_subsets`` finds, so it
+shares no code with the double description or with the mixed-area
+recursion that the package measures every volume by.  ``newton_number``
+is Kouchnirenko's closed form for the Euler characteristic of a generic
+fiber, from volumes that oracle counts.
 ``euler_ci_projective`` (Hirzebruch) and ``euler_ci_torus_of_simplices``
 (Bernstein-Khovanskii) are closed forms in the degrees alone for
 complete intersections whose Newton polytopes are dilated standard
@@ -57,7 +61,6 @@ from newtonzeta import (
     dim,
     face,
     hull,
-    lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     q_exponent,
@@ -65,7 +68,9 @@ from newtonzeta import (
     restrict_system,
     support_min,
 )
-from newtonzeta.lattice import _column_reduce
+from newtonzeta.lattice import _column_reduce, _dot, _span_coords
+from newtonzeta.polytope import _canonical_pts
+from newtonzeta.volumes import _reduce_to_frame
 
 
 def _solve_in_basis(
@@ -176,6 +181,27 @@ def _leibniz_det(rows: Sequence[Sequence[int]]) -> int:
                for sign, perm in _signed_permutations(len(rows)))
 
 
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each step's 2 x 2 cross terms divide exactly by the
+    previous pivot, so every entry stays an integer minor."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def permanent(rows: Sequence[Sequence[int]]) -> int:
     """Permanent of a square integer matrix as a sum over permutations:
     l! MV of l boxes prod_j [0, s_ij] in Z^l, s_i the rows."""
@@ -199,7 +225,7 @@ def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):
     for sub in combinations(range(len(pts)), d):
         base = pts[sub[0]]
         diffs = [tuple(x - y for x, y in zip(pts[i], base)) for i in sub[1:]]
-        a = tuple((-1) ** j * _leibniz_det([r[:j] + r[j + 1:] for r in diffs])
+        a = tuple((-1) ** j * _bareiss_det([r[:j] + r[j + 1:] for r in diffs])
                   for j in range(d))
         if not any(a):
             continue
@@ -218,6 +244,75 @@ def facets_by_subsets(pts: Sequence[tuple[int, ...]], d: int):
     vertices = tuple(i for i in range(len(pts))
                      if _rank([a for (a, _b), tight in found.items() if i in tight]) == d)
     return vertices, tuple(sorted(found))
+
+
+def _independent_diffs(pts: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
+    """``_canonical_pts(pts)``, on coordinates independent on their span.
+
+    Full-rank points are returned as they are.  Below full rank the
+    projection onto the greedy independent coordinates is injective on
+    the span, so it keeps the order, vertices, faces and the dimension.
+    """
+    diffs = _canonical_pts(pts)
+    pivots, normals = _column_reduce(diffs, len(diffs[0]))
+    if normals:
+        keep = _span_coords(diffs, pivots)[0]
+        diffs = [tuple(p[j] for j in keep) for p in diffs]
+    return diffs
+
+
+def _count_lattice_points(pts: Sequence[tuple[int, ...]]) -> int:
+    """Number of lattice points in conv(pts), when pts span Q^n.
+
+    The count does not depend on translation, so the box scan runs on
+    ``_canonical_pts`` of the independent diffs.  Below full rank it
+    counts the points of a projection onto independent coordinates, whose
+    Ehrhart polynomial has the same degree: the degree is all the oracle
+    needs of a lower-dimensional body.  Each point x of the bounding box
+    on every coordinate but the last adds the length of the interval of
+    last coordinates y that the ``facets_by_subsets`` facets leave:
+    a.(x, y) >= b is a lower bound on y when a_y > 0, an upper one when
+    a_y < 0, and a bound on x alone when a_y = 0.
+    """
+    reduced = _canonical_pts(_independent_diffs(pts))
+    if not reduced[0]:
+        return 1
+    facets = [(a[:-1], a[-1], b)
+              for a, b in facets_by_subsets(reduced, len(reduced[0]))[1]]
+    *box, last = [(min(c), max(c)) for c in zip(*reduced)]
+    total = 0
+    for x in product(*[range(lo, hi + 1) for lo, hi in box]):
+        lo, hi = last
+        for a, a_y, b in facets:
+            rest = b - _dot(a, x)  # a_y * y >= rest
+            if a_y > 0:
+                lo = max(lo, -(-rest // a_y))
+            elif a_y < 0:
+                hi = min(hi, rest // a_y)
+            elif rest > 0:
+                break
+        else:
+            total += max(0, hi - lo + 1)
+    return total
+
+
+def lattice_point_volume_oracle(
+    P: LatticePolytope, frame: LatticeFrame
+) -> Fraction:
+    """Volume via Ehrhart-style counting, independent of the facet pyramids.
+
+    Counts lattice points of the dilates tP for t = 0..l, takes the l-th
+    finite difference to extract the leading coefficient of the counting
+    polynomial, which is exactly the normalized l-volume.
+    """
+    if P.is_empty:
+        raise ValueError("volume of empty polytope")
+    l = frame.rank
+    reduced = _reduce_to_frame(P, frame)
+    counts = [_count_lattice_points([tuple(t * c for c in p) for p in reduced])
+              for t in range(l + 1)]
+    lead = sum((-1) ** (l - i) * comb(l, i) * counts[i] for i in range(l + 1))
+    return Fraction(lead, factorial(l) * frame.index)
 
 
 @dataclass(frozen=True)

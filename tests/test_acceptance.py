@@ -20,7 +20,6 @@ from newtonzeta import (
     face,
     fiber_polytopes,
     hull,
-    lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     mixed_volume_of,
@@ -41,7 +40,7 @@ from tests.conftest import (
     random_polytope,
     route_corpus,
 )
-from tests.oracle import stratum_frame
+from tests.oracle import lattice_point_volume_oracle, stratum_frame
 
 
 def _report(label: str, started: float, budget: float) -> None:

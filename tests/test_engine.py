@@ -401,6 +401,19 @@ def test_euler_rejects_too_many_equations():
         euler_ci_torus([seg, seg, seg], 2)
 
 
+def test_euler_rejects_bodies_of_another_dimension():
+    # the count of bodies is checked first, then an empty body gives 0,
+    # then every body must lie in Z^n
+    seg1, seg2 = P((0,), (1,)), P((0, 0), (1, 0))
+    tri3 = P((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    for bodies in ([tri3], [seg1], [seg2, tri3]):
+        with pytest.raises(ValueError, match="polytope dimension does not match"):
+            euler_ci_torus(bodies, 2)
+    assert euler_ci_torus([tri3, hull([], ambient_dim=2)], 2) == 0
+    with pytest.raises(ValueError, match="more equations"):
+        euler_ci_torus([tri3] * 3, 2)
+
+
 def test_degree_examples():
     assert ZetaProduct.from_exponents({1: 2}).degree() == 2
     assert ZetaProduct.one().degree() == 0

@@ -16,7 +16,7 @@ from newtonzeta import (
     saturated_basis,
 )
 from newtonzeta.lattice import _column_reduce, _dot, _rank, _span_coords
-from tests.oracle import _abs_det, _solve_in_basis
+from tests.oracle import _abs_det, _bareiss_det, _leibniz_det, _solve_in_basis
 
 
 def test_point_and_covector_are_distinct_types():
@@ -219,17 +219,6 @@ def test_int_kernel_is_saturated():
             assert all(x.denominator == 1 for x in sol)
 
 
-def _leibniz_det(rows):
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
 def _greedy_independent(rows):
     """Indices of the rows outside the span of the rows kept before them."""
     kept = []
@@ -278,6 +267,7 @@ def test_column_reduction_matches_rational_oracle():
         assert len(kernel) == n - len(greedy)
         if m == n:
             assert _abs_det(rows) == abs(_leibniz_det(rows))
+            assert _bareiss_det(rows) == _leibniz_det(rows)
 
         origin = IntPoint(tuple(rng.randint(-6, 6) for _ in range(n)))
         basis = tuple(IntPoint(r) for r in rows)

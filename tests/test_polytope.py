@@ -24,9 +24,9 @@ from newtonzeta import (
 from newtonzeta import lattice, polytope
 from newtonzeta.lattice import _column_reduce
 from newtonzeta.polytope import _dd
-from newtonzeta.volumes import _independent_diffs
 from tests.conftest import random_polytope
 from tests.oracle import (
+    _independent_diffs,
     _rank,
     _simplex_facets_by_kernels,
     _vertices_by_rank,

@@ -14,7 +14,6 @@ from newtonzeta import (
     LatticeFrame,
     dim,
     hull,
-    lattice_point_volume_oracle,
     lattice_volume,
     minkowski_sum,
     mixed_volume_of,
@@ -22,10 +21,11 @@ from newtonzeta import (
 )
 from newtonzeta import volumes
 from newtonzeta.polytope import _dd
-from newtonzeta.volumes import _count_lattice_points
 from perfbench.checks import bezout
 from tests.conftest import random_polytope
-from tests.oracle import _rank, facets_by_subsets, mixed_volume_by_subsets, permanent
+from tests.oracle import (_count_lattice_points, _rank, facets_by_subsets,
+                          lattice_point_volume_oracle, mixed_volume_by_subsets,
+                          permanent)
 
 
 def P(*coords):
@@ -161,8 +161,8 @@ def _full_point_sets(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_full_point_sets())
 def test_counting_matches_a_box_scan_against_subset_facets(case):
-    # every point of the bounding box tested against the facets of the
-    # d-subset oracle, with no double description involved
+    # the counting oracle's interval scan against a full box scan: every
+    # point of the bounding box tested against the same d-subset facets
     d, pts = case
     facets = facets_by_subsets(sorted(pts), d)[1]
     box = product(*[range(min(c), max(c) + 1) for c in zip(*pts)])
